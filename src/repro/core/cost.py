@@ -62,16 +62,12 @@ def expected_cost(
     blocks = blockmod.block(hg_q, hg_s, Qp, tau)
     slack = (DOMAIN / (1 << m)) / 2.0
     sorted_dims = [np.sort(Xp[:, i]) for i in range(Xp.shape[1])]
-    e = 0.0
-    n_pairs = 0
-    for qi, cells in blocks.cpair.items():
-        if cells:
-            # One N_max term per query vector: its candidate cells are
-            # exactly the leaf cells its SQR touches, so the widened
-            # marginal bound already covers all of them together.
-            e += n_max_sqr(sorted_dims, Qp[qi], tau, slack)
-        n_pairs += len(cells)
-    return e + alpha * n_pairs
+    # One N_max term per query vector with a candidate pair: its candidate
+    # cells are exactly the leaf cells its SQR touches, so the widened
+    # marginal bound already covers all of them together.
+    qs = np.unique(blocks.query_of_pair()[~blocks.matched])
+    e = sum(n_max_sqr(sorted_dims, Qp[qi], tau, slack) for qi in qs)
+    return e + alpha * blocks.n_candidates()
 
 
 def optimal_m(

@@ -1,26 +1,47 @@
-"""Hierarchical grids over the pivot space (§III-B).
+"""Hierarchical grids over the pivot space (§III-B), as sorted arrays.
 
 The pivot space is the hyper-cube ``[0, DOMAIN]^{|P|}`` (DOMAIN = 2 for
-unit-normalized vectors under Euclidean distance). Level ``i`` of an
-``m``-level grid splits each dimension into ``2^i`` equal parts, giving
-``2^{|P|·i}`` cells; only non-empty cells are materialized. A cell is
-identified by ``(level, coords)`` where ``coords`` is the integer tuple
-of per-dimension indices; the parent of a cell halves each coordinate.
+unit-normalized vectors under Euclidean distance). Level ``l`` of an
+``m``-level grid splits each dimension into ``2^l`` equal parts; only
+non-empty cells are materialized. The parent of a cell halves each
+integer coordinate.
 
-``HierarchicalGrid`` stores, per leaf cell, the indices of the vectors
-it contains, and the child links needed by the dual descent of
-Algorithm 1.
+``HierarchicalGrid`` sorts the vectors once, in Z-order (coarsest level
+first), so every cell at every level is one contiguous run of ``order``.
+Per level it stores the CSR ``starts`` of those runs and each cell's
+integer ``coords``. A cell is an integer index into its level; since the
+runs of level ``l`` are unions of runs of level ``l+1``, a cell's
+children (and its descendants at any deeper level) are one
+``searchsorted`` range.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DOMAIN", "HierarchicalGrid"]
+__all__ = ["DOMAIN", "HierarchicalGrid", "expand_ranges", "leaf_coords"]
 
 #: Extent of the pivot space per dimension (max pairwise distance, §V).
 DOMAIN = 2.0
 
-Coords = tuple[int, ...]
+
+def leaf_coords(Xp: np.ndarray, m: int) -> np.ndarray:
+    """Integer level-``m`` cell coordinates of mapped vectors ``Xp``.
+
+    The clip puts a coordinate exactly at ``DOMAIN`` into the last cell.
+    """
+    c = np.floor(Xp / (DOMAIN / (1 << m))).astype(np.int64)
+    return np.clip(c, 0, (1 << m) - 1, out=c)
+
+
+def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten the ranges ``[lo[i], hi[i])`` into ``(owner, idx)`` arrays.
+
+    ``owner[k]`` is the range that ``idx[k]`` came from, in range order.
+    """
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    offset = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return owner, np.arange(len(owner)) + offset
 
 
 class HierarchicalGrid:
@@ -30,69 +51,59 @@ class HierarchicalGrid:
         if m < 1:
             raise ValueError("grid needs at least one level")
         self.m = m
-        self.dims = Xp.shape[1]
-        self.n = Xp.shape[0]
-        side = DOMAIN / (1 << m)
-        # Leaf coordinates per vector; clip handles x == DOMAIN exactly.
-        coords = np.floor(Xp / side).astype(np.int64)
-        np.clip(coords, 0, (1 << m) - 1, out=coords)
-        self.leaf_of_vector = coords  # (n, dims) int
-
-        # leaf cell -> np.ndarray of vector indices
-        leaves: dict[Coords, list[int]] = {}
-        for i, c in enumerate(map(tuple, coords.tolist())):
-            leaves.setdefault(c, []).append(i)
-        self.leaves: dict[Coords, np.ndarray] = {
-            c: np.asarray(v, dtype=np.int64) for c, v in leaves.items()
-        }
-
-        # children[(level, coords)] -> sorted list of child coords at level+1.
-        # Level 0 is the root cell with coords (0,)*dims.
-        self.children: dict[tuple[int, Coords], list[Coords]] = {}
-        current = set(self.leaves.keys())
-        for level in range(m, 0, -1):
-            parents: dict[Coords, set[Coords]] = {}
-            for c in current:
-                parents.setdefault(tuple(x >> 1 for x in c), set()).add(c)
-            for p, kids in parents.items():
-                self.children[(level - 1, p)] = sorted(kids)
-            current = set(parents.keys())
+        self.n, self.dims = Xp.shape
+        coords = leaf_coords(Xp, m)
+        # Child digit per level: one bit per dimension of the level's split.
+        weights = np.int64(1) << np.arange(self.dims, dtype=np.int64)
+        digits = [((coords >> (m - l)) & 1) @ weights for l in range(1, m + 1)]
+        # lexsort's last key is the primary one: level 1 first, then 2, ...
+        self.order = np.lexsort(digits[::-1])
+        sc = coords[self.order]
+        self.starts: list[np.ndarray] = []
+        self.coords: list[np.ndarray] = []
+        for l in range(m + 1):
+            cl = sc >> (m - l)
+            first = np.flatnonzero(np.any(cl[1:] != cl[:-1], axis=1)) + 1
+            s = np.concatenate(([0], first, [self.n])) if self.n else np.zeros(1, np.int64)
+            self.starts.append(s)
+            self.coords.append(cl[s[:-1]])
 
     # -- geometry --------------------------------------------------------
     def side(self, level: int) -> float:
         """Edge length of a cell at ``level``."""
         return DOMAIN / (1 << level)
 
-    def bounds(self, level: int, coords: Coords) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) corner arrays of the cell."""
+    def bounds(self, level: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) corners of ``cells`` at ``level``, shape (k, |P|)."""
         s = self.side(level)
-        lo = np.asarray(coords, dtype=np.float64) * s
+        lo = self.coords[level].take(cells, axis=0) * s
         return lo, lo + s
 
-    def root(self) -> Coords:
-        return (0,) * self.dims
+    # -- topology --------------------------------------------------------
+    def n_level(self, level: int) -> int:
+        """Number of non-empty cells at ``level``."""
+        return len(self.starts[level]) - 1
 
-    def child_cells(self, level: int, coords: Coords) -> list[Coords]:
-        """Non-empty children of ``(level, coords)`` (empty list at m)."""
-        return self.children.get((level, coords), [])
+    def below(
+        self, level: int, cells: np.ndarray, to_level: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Index ranges ``[lo, hi)`` of the level-``to_level`` cells under ``cells``."""
+        s, t = self.starts[level], self.starts[to_level]
+        return np.searchsorted(t, s[cells]), np.searchsorted(t, s[cells + 1])
 
-    def vectors_in_leaf(self, coords: Coords) -> np.ndarray:
-        return self.leaves.get(coords, np.empty(0, dtype=np.int64))
+    def rows(self, level: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(owner, row index) of every vector in ``cells``, cell by cell."""
+        s = self.starts[level]
+        owner, pos = expand_ranges(s[cells], s[cells + 1])
+        return owner, self.order[pos]
 
-    def descendant_leaves(self, level: int, coords: Coords) -> list[Coords]:
-        """All non-empty leaf cells under ``(level, coords)``."""
-        if level == self.m:
-            return [coords] if coords in self.leaves else []
-        out: list[Coords] = []
-        stack = [(level, coords)]
-        while stack:
-            lvl, c = stack.pop()
-            if lvl == self.m:
-                out.append(c)
-            else:
-                stack.extend((lvl + 1, k) for k in self.child_cells(lvl, c))
+    def leaf_of_vector(self) -> np.ndarray:
+        """Leaf-cell index of every row, shape (n,)."""
+        out = np.empty(self.n, dtype=np.int64)
+        out[self.order] = np.repeat(np.arange(self.n_level(self.m)),
+                                    np.diff(self.starts[self.m]))
         return out
 
     def n_cells(self) -> int:
         """Total number of materialized cells across all levels."""
-        return len(self.leaves) + len(self.children)
+        return sum(self.n_level(l) for l in range(self.m + 1))

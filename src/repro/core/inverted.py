@@ -1,40 +1,33 @@
-"""Inverted index over the leaf cells of ``HG_SV`` (§III-C).
+"""Inverted index over the leaf cells of ``HG_SV`` (§III-C), as CSR arrays.
 
-Keys are leaf-cell coordinates; each postings list holds, per column
-having at least one vector in the cell, the indices of those vectors in
-the global target matrix. Postings are sorted by column id so that
-verification can proceed document-at-a-time (DaaT), with one column
-(= document) fully resolved before the next — the layout that enables
-the early-termination rules (joinability reached / Lemma 7).
+One ``lexsort`` of the rows by (leaf cell, column) lays out every
+postings list contiguously: ``rows`` holds the target-matrix row
+indices, a *posting* is one (leaf, column) run of it with column
+``col[p]`` and rows ``rows[start[p]:start[p + 1]]``, and the postings of
+leaf ``c`` are ``leaf_start[c]:leaf_start[c + 1]``, sorted by column —
+the order verification resolves columns in, document-at-a-time (DaaT).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.grid import Coords, HierarchicalGrid
+from repro.core.grid import HierarchicalGrid
 
 __all__ = ["InvertedIndex"]
 
 
 class InvertedIndex:
-    """leaf cell → [(col_idx, vector row indices)] sorted by column."""
+    """leaf cell → postings (column, rows) sorted by column, in CSR form."""
 
     def __init__(self, hg: HierarchicalGrid, col_of_vector: np.ndarray) -> None:
         """``col_of_vector[i]`` is the integer column index of vector i."""
-        self.postings: dict[Coords, list[tuple[int, np.ndarray]]] = {}
-        for coords, idx in hg.leaves.items():
-            cols = col_of_vector[idx]
-            order = np.argsort(cols, kind="stable")
-            idx_sorted, cols_sorted = idx[order], cols[order]
-            cuts = np.flatnonzero(np.diff(cols_sorted)) + 1
-            groups = np.split(idx_sorted, cuts)
-            starts = np.concatenate(([0], cuts))
-            self.postings[coords] = [
-                (int(cols_sorted[s]), grp) for s, grp in zip(starts, groups)
-            ]
-
-    def lookup(self, coords: Coords) -> list[tuple[int, np.ndarray]]:
-        return self.postings.get(coords, [])
-
-    def n_postings(self) -> int:
-        return sum(len(v) for v in self.postings.values())
+        leaf = hg.leaf_of_vector()
+        self.rows = np.lexsort((col_of_vector, leaf))
+        leaf, cols = leaf[self.rows], col_of_vector[self.rows]
+        new = np.flatnonzero((leaf[1:] != leaf[:-1]) | (cols[1:] != cols[:-1])) + 1
+        first = np.concatenate(([0], new))
+        self.start = np.append(first, len(self.rows))
+        self.col = cols[first]
+        self.leaf_start = np.searchsorted(
+            leaf[first], np.arange(hg.n_level(hg.m) + 1)
+        )

@@ -6,9 +6,9 @@ inverted index. ``PexesoIndex.search`` runs the online pipeline for a
 query column: map the query, build ``HG_Q`` with the same ``m``, block
 (Algorithm 1 + quick browsing), verify (Algorithm 2).
 
-``use_inverted=False`` at search time turns the verifier into the
-naive cell-scan of the PEXESO-H baseline (§VI-A) — identical blocking,
-no inverted-index / per-vector pivot pruning.
+``use_inverted=False`` at search time runs the same verifier without
+its per-vector pivot filters (Lemmas 1, 2 and 7): the cell scan of the
+PEXESO-H baseline (§VI-A), with identical blocking.
 """
 from __future__ import annotations
 
@@ -70,6 +70,7 @@ class PexesoIndex:
         self.m = m
         self.pivots = select_pivots(X, n_pivots, seed=seed)
         self.Xp = pivot_map(X, self.pivots)
+        self.x2 = np.einsum("ij,ij->i", X, X)
         self.grid = HierarchicalGrid(self.Xp, m)
         self.index = InvertedIndex(self.grid, self.col_of_vector)
 
@@ -95,19 +96,13 @@ class PexesoIndex:
         )
         t1 = time.perf_counter()
         T_abs = t_abs(T, len(Q))
-        if use_inverted:
-            res = verifymod.verify(
-                blocks, self.index, self.X, self.Xp, Q, Qp, tau, T_abs,
-                self.n_cols, early_terminate=early_terminate,
-            )
-        else:
-            res = verifymod.verify_naive(
-                blocks, self.grid, self.col_of_vector, self.X, Q, tau,
-                T_abs, self.n_cols,
-            )
+        res = verifymod.verify(
+            blocks, self.index, self.X, self.Xp, self.x2, Q, Qp, tau, T_abs,
+            self.n_cols, use_pivots=use_inverted, early_terminate=early_terminate,
+        )
         t2 = time.perf_counter()
         return SearchResult(
-            joinable=res.joinable_columns(),
+            joinable=res.joinable,
             match_counts=res.match,
             n_distance=res.n_distance,
             n_candidates=blocks.n_candidates(),

@@ -23,7 +23,9 @@ def select_pivots(
 
     For each of the top principal components (cycled if ``n_pivots``
     exceeds the rank), the not-yet-chosen sample point with the largest
-    absolute projection is picked — an outlier along that axis.
+    absolute projection is picked — an outlier along that axis. At most
+    one pivot is taken per distinct sample row, so fewer than
+    ``n_pivots`` rows come back when the sample has fewer distinct rows.
     """
     if len(X) == 0:
         raise ValueError("cannot select pivots from an empty dataset")
@@ -38,12 +40,15 @@ def select_pivots(
     n_comp = vt.shape[0]
     while len(chosen) < n_pivots:
         proj = np.abs(centered @ vt[comp % n_comp])
-        order = np.argsort(-proj)
-        for j in order:
-            if j not in chosen:
-                chosen.append(int(j))
-                break
         comp += 1
+        fresh = (
+            int(j) for j in np.argsort(-proj)
+            if not np.any(np.all(S[chosen] == S[j], axis=1))
+        )
+        j = next(fresh, None)
+        if j is None:  # every sample row is a copy of a chosen pivot
+            break
+        chosen.append(j)
     return S[chosen].copy()
 
 

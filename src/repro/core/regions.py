@@ -11,6 +11,10 @@ For a *query cell* ``c_q`` the square region is widened to
 over all query vectors in ``c_q`` is bounded conservatively with the
 cell's own upper corner (``max_{q'∈c_q} q'[j] <= c_q.upper[j]``), which
 is sound (a sufficient condition) and needs no per-vector scan.
+
+Every predicate reduces over the last (pivot) axis and broadcasts over
+any leading batch axes, so blocking tests a whole frontier of pairs in
+one call; a single pair gives a numpy bool.
 """
 from __future__ import annotations
 
@@ -22,27 +26,26 @@ __all__ = [
     "cell_matched_by_vector",
     "cell_filtered_by_cell",
     "cell_matched_by_cell",
-    "vectors_vs_cell",
 ]
 
 
 def boxes_disjoint(
     lo_a: np.ndarray, up_a: np.ndarray, lo_b: np.ndarray, up_b: np.ndarray
-) -> bool:
+) -> np.ndarray:
     """True iff boxes [lo_a, up_a] and [lo_b, up_b] do not intersect."""
-    return bool(np.any(lo_a > up_b) or np.any(up_a < lo_b))
+    return np.any((lo_a > up_b) | (up_a < lo_b), axis=-1)
 
 
 def cell_filtered_by_vector(
     lo: np.ndarray, up: np.ndarray, qp: np.ndarray, tau: float
-) -> bool:
+) -> np.ndarray:
     """Lemma 3: target cell [lo, up] ∩ SQR(q', τ) = ∅ → no vector matches."""
     return boxes_disjoint(lo, up, qp - tau, qp + tau)
 
 
-def cell_matched_by_vector(up: np.ndarray, qp: np.ndarray, tau: float) -> bool:
+def cell_matched_by_vector(up: np.ndarray, qp: np.ndarray, tau: float) -> np.ndarray:
     """Lemma 5: ∃ pivot j with up[j] <= τ - q'[j] → every vector matches."""
-    return bool(np.any(up <= tau - qp))
+    return np.any(up <= tau - qp, axis=-1)
 
 
 def cell_filtered_by_cell(
@@ -51,7 +54,7 @@ def cell_filtered_by_cell(
     q_lo: np.ndarray,
     q_up: np.ndarray,
     tau: float,
-) -> bool:
+) -> np.ndarray:
     """Lemma 4: target cell vs query cell square region.
 
     SQR(c_q.center, τ + c_q.length/2) is exactly the box
@@ -61,23 +64,10 @@ def cell_filtered_by_cell(
     return boxes_disjoint(lo, up, q_lo - tau, q_up + tau)
 
 
-def cell_matched_by_cell(up: np.ndarray, q_up: np.ndarray, tau: float) -> bool:
+def cell_matched_by_cell(up: np.ndarray, q_up: np.ndarray, tau: float) -> np.ndarray:
     """Lemma 6 (conservative): ∃ pivot j with up[j] <= τ - q_up[j].
 
     Uses the query cell's upper corner as an upper bound on
     ``max_{q'∈c_q} q'[j]``; sound, and exact when the cell is tight.
     """
-    return bool(np.any(up <= tau - q_up))
-
-
-def vectors_vs_cell(
-    Qp_cell: np.ndarray, lo: np.ndarray, up: np.ndarray, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Lemmas 3 and 5 for all query vectors of a leaf cell.
-
-    Returns ``(filtered, matched)`` boolean masks over the rows of
-    ``Qp_cell`` against the target leaf cell ``[lo, up]``.
-    """
-    filtered = np.any((lo > Qp_cell + tau) | (up < Qp_cell - tau), axis=1)
-    matched = np.any(up[None, :] <= tau - Qp_cell, axis=1)
-    return filtered, matched
+    return np.any(up <= tau - q_up, axis=-1)

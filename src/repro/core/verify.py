@@ -1,61 +1,45 @@
-"""Algorithm 2: inverted-index verification (§III-C), plus the naive
-cell-scan verification used by the PEXESO-H baseline (§VI-A).
+"""Algorithm 2: inverted-index verification (§III-C); PEXESO-H as a flag.
 
-For each query vector, matching-pair cells contribute guaranteed
-matches; candidate-pair cells are resolved column-at-a-time (DaaT):
-per-vector Lemma 1 filtering, Lemma 2 matching, and exact distance for
-the survivors. Two early terminations apply per column:
+Query vectors are resolved one at a time, each against all of its
+columns at once. Matching-pair leaves give guaranteed matches. For the
+other live columns the candidate-pair postings are expanded to rows;
+with ``use_pivots`` a Lemma 2 hit matches its column with no distance
+computed, and only the Lemma 1 survivors of the remaining columns get an
+exact distance. Without ``use_pivots`` (the PEXESO-H baseline, §VI-A)
+every row of a candidate posting gets an exact distance.
 
-- a column whose match count reaches ``T_abs`` is joinable — all of its
-  remaining vectors are skipped (paper §III-C, also given to baselines);
+Between query vectors two early terminations apply per column:
+
+- a column whose match count reaches ``T_abs`` is joinable — it is not
+  visited again (paper §III-C, also given to PEXESO-H);
 - a column whose mismatch count exceeds ``|Q| - T_abs`` can never become
-  joinable and is pruned (Lemma 7).
+  joinable and is pruned (Lemma 7; not in PEXESO-H).
 
-The verifier also maintains the counters the paper reports: number of
-exact distance computations (Fig. 7a) and postings accesses.
+The verifier also keeps the counters the paper reports: number of exact
+distance computations (Fig. 7a) and postings accesses.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.block import BlockResult
+from repro.core.grid import expand_ranges
 from repro.core.inverted import InvertedIndex
-from repro.core.grid import HierarchicalGrid
 from repro.core.pivots import lemma1_filter_mask, lemma2_match_mask
 
-__all__ = ["VerifyResult", "verify", "verify_naive"]
+__all__ = ["VerifyResult", "verify"]
 
 
+@dataclass
 class VerifyResult:
     """Match counts per column plus instrumentation counters."""
 
-    def __init__(self, n_cols: int) -> None:
-        self.match = np.zeros(n_cols, dtype=np.int64)
-        self.mismatch = np.zeros(n_cols, dtype=np.int64)
-        self.joinable: set[int] = set()
-        self.pruned: set[int] = set()
-        self.n_distance = 0      # exact d(·,·) evaluations
-        self.n_postings = 0      # postings lists touched
-
-    def joinable_columns(self) -> set[int]:
-        return set(self.joinable)
-
-
-def _exact_match_any(
-    X: np.ndarray, rows: np.ndarray, qv: np.ndarray, tau: float, res: VerifyResult
-) -> bool:
-    """Exact-distance check: does any row of ``X[rows]`` match ``qv``?
-
-    Distances are computed vectorized per (query, column) group; the
-    counter counts every evaluated pair (a slight overcount versus the
-    paper's one-at-a-time early break, in exchange for numpy speed).
-    """
-    if len(rows) == 0:
-        return False
-    diff = X[rows] - qv
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    res.n_distance += len(rows)
-    return bool(np.any(d2 <= tau * tau))
+    match: np.ndarray
+    joinable: set[int]
+    n_distance: int  # exact d(·,·) evaluations
+    n_postings: int  # postings touched
 
 
 def verify(
@@ -63,119 +47,65 @@ def verify(
     index: InvertedIndex,
     X: np.ndarray,
     Xp: np.ndarray,
+    x2: np.ndarray,
     Q: np.ndarray,
     Qp: np.ndarray,
     tau: float,
     T_abs: int,
     n_cols: int,
     *,
+    use_pivots: bool = True,
     early_terminate: bool = True,
 ) -> VerifyResult:
     """Algorithm 2 over the blocking output; returns per-column counts.
 
-    ``early_terminate=False`` disables the reach-T and Lemma-7 skips so
-    the per-column match counts are complete — used by exactness tests
-    that diff counts against the brute-force scan.
+    ``x2[i]`` is ``|X[i]|²``: distances are ``|x|² + |q|² − 2x·q``, the
+    formula of ``baselines.exact_scan``. ``early_terminate=False``
+    disables the reach-T and Lemma-7 skips so the per-column match counts
+    are complete — used by exactness tests that diff counts against the
+    brute-force scan.
     """
-    res = VerifyResult(n_cols)
-    n_q = len(Q)
-    prune_bound = n_q - T_abs  # Lemma 7: mismatch > bound → never joinable
-
-    for qi in range(n_q):
-        qv, qp = Q[qi], Qp[qi]
-        matched_cols: set[int] = set()
-
-        # Matching pairs: every vector in the cell matches q — the
-        # column gains one matched query vector, dedup'd per (q, col).
-        for coords in blocks.mpair.get(qi, ()):
-            for col, _rows in index.lookup(coords):
-                res.n_postings += 1
-                if col in matched_cols:
-                    continue
-                if early_terminate and (col in res.joinable or col in res.pruned):
-                    continue
-                matched_cols.add(col)
-                res.match[col] += 1
-                if res.match[col] >= T_abs:
-                    res.joinable.add(col)
-
-        # Candidate pairs: group cells by column, then resolve DaaT.
-        col_rows: dict[int, list[np.ndarray]] = {}
-        for coords in blocks.cpair.get(qi, ()):
-            for col, rows in index.lookup(coords):
-                res.n_postings += 1
-                if col in matched_cols:
-                    continue
-                if early_terminate and (col in res.joinable or col in res.pruned):
-                    continue
-                col_rows.setdefault(col, []).append(rows)
-
-        for col in sorted(col_rows):  # DaaT: one column at a time
-            if early_terminate and (col in res.joinable or col in res.pruned):
-                continue
-            rows = np.concatenate(col_rows[col])
-            sub = Xp[rows]
-            if np.any(lemma2_match_mask(sub, qp, tau)):
-                got = True  # Lemma 2: guaranteed match, no distance
-            else:
-                survivors = rows[lemma1_filter_mask(sub, qp, tau)]
-                got = _exact_match_any(X, survivors, qv, tau, res)
-            if got:
-                res.match[col] += 1
-                if res.match[col] >= T_abs:
-                    res.joinable.add(col)
-            else:
-                res.mismatch[col] += 1
-                if res.mismatch[col] > prune_bound:
-                    res.pruned.add(col)
-    if not early_terminate:
-        res.pruned.clear()
-        res.joinable = set(np.flatnonzero(res.match >= T_abs).tolist())
-    return res
-
-
-def verify_naive(
-    blocks: BlockResult,
-    hg_s: HierarchicalGrid,
-    col_of_vector: np.ndarray,
-    X: np.ndarray,
-    Q: np.ndarray,
-    tau: float,
-    T_abs: int,
-    n_cols: int,
-) -> VerifyResult:
-    """PEXESO-H verification: same blocking, no inverted index.
-
-    Every candidate ⟨q, cell⟩ computes the exact distance from q to every
-    vector in the cell (no Lemma 1/2 per-vector pruning, no Lemma 7);
-    only the reach-T early termination is kept, as in §VI-A.
-    """
-    res = VerifyResult(n_cols)
+    match = np.zeros(n_cols, dtype=np.int64)
+    mismatch = np.zeros(n_cols, dtype=np.int64)
+    done = np.zeros(n_cols, dtype=bool)  # joinable, or pruned by Lemma 7
+    prune_bound = len(Q) - T_abs  # Lemma 7: mismatch > bound → never joinable
     tau2 = tau * tau
+    n_distance = n_postings = 0
     for qi in range(len(Q)):
-        qv = Q[qi]
-        matched_cols: set[int] = set()
-        for coords in blocks.mpair.get(qi, ()):
-            rows = hg_s.vectors_in_leaf(coords)
-            for col in set(col_of_vector[rows].tolist()):
-                if col in matched_cols or col in res.joinable:
-                    continue
-                matched_cols.add(col)
-                res.match[col] += 1
-                if res.match[col] >= T_abs:
-                    res.joinable.add(col)
-        for coords in blocks.cpair.get(qi, ()):
-            rows = hg_s.vectors_in_leaf(coords)
-            if len(rows) == 0:
-                continue
-            diff = X[rows] - qv
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            res.n_distance += len(rows)
-            for col in set(col_of_vector[rows[d2 <= tau2]].tolist()):
-                if col in matched_cols or col in res.joinable:
-                    continue
-                matched_cols.add(col)
-                res.match[col] += 1
-                if res.match[col] >= T_abs:
-                    res.joinable.add(col)
-    return res
+        a, b = blocks.q_start[qi], blocks.q_start[qi + 1]
+        if a == b:
+            continue
+        leaf = blocks.leaf[a:b]
+        own, p = expand_ranges(index.leaf_start[leaf], index.leaf_start[leaf + 1])
+        n_postings += len(p)
+        col = index.col[p]
+        live = ~done[col]
+        from_match = blocks.matched[a:b][own]
+        got = np.unique(col[from_match & live])
+        # Candidate postings of live columns not matched already.
+        cand = ~from_match & live
+        cand[cand] = ~np.isin(col[cand], got)
+        p, col = p[cand], col[cand]
+        tried = np.unique(col)
+        own, r = expand_ranges(index.start[p], index.start[p + 1])
+        rows, rcol = index.rows[r], col[own]
+        q = Q[qi]
+        if use_pivots:
+            sub = Xp[rows]
+            by_lemma2 = np.unique(rcol[lemma2_match_mask(sub, Qp[qi], tau)])
+            rest = lemma1_filter_mask(sub, Qp[qi], tau)
+            rest[rest] = ~np.isin(rcol[rest], by_lemma2)
+            rows, rcol = rows[rest], rcol[rest]
+            got = np.union1d(got, by_lemma2)
+        d2 = x2[rows] + q @ q - 2.0 * (X[rows] @ q)
+        n_distance += len(rows)
+        got = np.union1d(got, rcol[d2 <= tau2])
+        missed = np.setdiff1d(tried, got, assume_unique=True)
+        match[got] += 1
+        mismatch[missed] += 1
+        if early_terminate:
+            done[got[match[got] >= T_abs]] = True
+            if use_pivots:
+                done[missed[mismatch[missed] > prune_bound]] = True
+    joinable = set(np.flatnonzero(match >= T_abs).tolist())
+    return VerifyResult(match, joinable, n_distance, n_postings)

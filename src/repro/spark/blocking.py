@@ -31,16 +31,10 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import ArrayType, DoubleType, StringType, StructField, StructType
 
-from repro.core.grid import DOMAIN
+from repro.core.grid import DOMAIN, leaf_coords
 from repro.core.pivots import pivot_map, select_pivots
 
 __all__ = ["build_blocked_repo", "matching_pairs", "blocked_joinability"]
-
-
-def _leaf_coords(xp_block: np.ndarray, m_block: int) -> np.ndarray:
-    side = DOMAIN / (1 << m_block)
-    c = np.floor(xp_block / side).astype(np.int64)
-    return np.clip(c, 0, (1 << m_block) - 1)
 
 
 def build_blocked_repo(
@@ -63,7 +57,7 @@ def build_blocked_repo(
         for pdf in batches:
             X = np.vstack(pdf["vec"].to_numpy())
             Xp = pivot_map(X, piv)
-            cells = _leaf_coords(Xp[:, :b], m_block)
+            cells = leaf_coords(Xp[:, :b], m_block)
             out = pdf.copy()
             out["xp"] = list(Xp)
             out["cell"] = ["_".join(map(str, c)) for c in cells]

@@ -1,6 +1,9 @@
 """Shared fixtures for the PEXESO reproduction tests."""
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -66,3 +69,19 @@ def open_like_lake() -> DataLake:
         joinable_frac=0.4,
         seed=3,
     )
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail (instead of hanging) if the block runs longer than ``seconds``."""
+
+    def _raise(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, _raise)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

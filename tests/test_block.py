@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.block import BlockResult, block, quick_browse
+from repro.core.block import BlockResult, block
 from repro.core.grid import HierarchicalGrid
 from repro.core.pivots import pivot_map, select_pivots
 from tests.conftest import planted_repo
@@ -15,31 +15,34 @@ def _setup(tau_seed=0, n_pivots=3, m=3):
     return Q, X, Qp, Xp
 
 
+def _pairs(r: BlockResult) -> set[tuple[int, int, bool]]:
+    return set(zip(r.query_of_pair().tolist(), r.leaf.tolist(), r.matched.tolist()))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("tau", [0.1, 0.4, 0.8])
 def test_blocking_complete(m, tau):
-    """Completeness: every true match (q, x) appears in mpair or cpair."""
+    """Completeness: every true match (q, x) has x's leaf in q's pairs."""
     Q, X, Qp, Xp = _setup(m=m)
     hg_q, hg_s = HierarchicalGrid(Qp, m), HierarchicalGrid(Xp, m)
     res = block(hg_q, hg_s, Qp, tau)
-    leaf_of = {i: tuple(c) for i, c in enumerate(hg_s.leaf_of_vector.tolist())}
+    leaf_of = hg_s.leaf_of_vector()
     d = np.linalg.norm(Q[:, None, :] - X[None, :, :], axis=2)
     for qi, xi in zip(*np.where(d <= tau)):
-        cells = set(res.mpair.get(qi, [])) | set(res.cpair.get(qi, []))
+        cells = res.leaf[res.q_start[qi]:res.q_start[qi + 1]]
         assert leaf_of[xi] in cells, (qi, xi)
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.4])
 def test_matching_pairs_sound(tau):
-    """Every vector in an mpair cell really matches the query vector."""
+    """Every vector in a matching-pair leaf really matches the query vector."""
     Q, X, Qp, Xp = _setup()
     m = 3
     hg_q, hg_s = HierarchicalGrid(Qp, m), HierarchicalGrid(Xp, m)
     res = block(hg_q, hg_s, Qp, tau)
-    for qi, cells in res.mpair.items():
-        for c in cells:
-            rows = hg_s.vectors_in_leaf(c)
-            d = np.linalg.norm(X[rows] - Q[qi], axis=1)
+    for qi, leaf, matched in _pairs(res):
+        if matched:
+            d = np.linalg.norm(X[hg_s.rows(m, np.array([leaf]))[1]] - Q[qi], axis=1)
             assert np.all(d <= tau + 1e-9)
 
 
@@ -50,24 +53,24 @@ def test_quick_browsing_equivalent():
     hg_q, hg_s = HierarchicalGrid(Qp, m), HierarchicalGrid(Xp, m)
     with_qb = block(hg_q, hg_s, Qp, tau, use_quick_browsing=True)
     without = block(hg_q, hg_s, Qp, tau, use_quick_browsing=False)
-
-    def norm(r: BlockResult):
-        return (
-            {q: frozenset(c) for q, c in r.mpair.items() if c},
-            {q: frozenset(c) for q, c in r.cpair.items() if c},
-        )
-
-    assert norm(with_qb) == norm(without)
+    assert _pairs(with_qb) == _pairs(without)
 
 
 def test_quick_browse_emits_shared_leaves():
+    """Every query vector is paired, as a candidate, with the target leaf
+    at its own leaf's coordinates, whenever that leaf exists."""
     Q, X, Qp, Xp = _setup()
-    hg_q, hg_s = HierarchicalGrid(Qp, 3), HierarchicalGrid(Xp, 3)
-    out = BlockResult()
-    shared = quick_browse(hg_q, hg_s, out)
-    assert shared == (hg_q.leaves.keys() & hg_s.leaves.keys())
-    emitted = {c for cells in out.cpair.values() for c in cells}
-    assert emitted == shared
+    m = 3
+    hg_q, hg_s = HierarchicalGrid(Qp, m), HierarchicalGrid(Xp, m)
+    res = block(hg_q, hg_s, Qp, 0.05)
+    pairs = _pairs(res)
+    target_leaf = {tuple(c): i for i, c in enumerate(hg_s.coords[m].tolist())}
+    shared = 0
+    for qi, c in enumerate(hg_q.coords[m][hg_q.leaf_of_vector()].tolist()):
+        if tuple(c) in target_leaf:
+            assert (qi, target_leaf[tuple(c)], False) in pairs
+            shared += 1
+    assert shared > 0
 
 
 def test_mismatched_levels_rejected():
@@ -91,5 +94,16 @@ def test_blocking_prunes_at_small_tau():
     Q, X, Qp, Xp = _setup()
     hg_q, hg_s = HierarchicalGrid(Qp, 3), HierarchicalGrid(Xp, 3)
     res = block(hg_q, hg_s, Qp, 0.05)
-    exhaustive = len(Q) * len(hg_s.leaves)
+    exhaustive = len(Q) * hg_s.n_level(3)
     assert res.n_candidates() + res.n_matches() < exhaustive * 0.5
+
+
+def test_pairs_unique_and_grouped():
+    """Each (query vector, leaf) pair is emitted once, under its query."""
+    Q, X, Qp, Xp = _setup()
+    hg_q, hg_s = HierarchicalGrid(Qp, 3), HierarchicalGrid(Xp, 3)
+    res = block(hg_q, hg_s, Qp, 0.8)
+    q = res.query_of_pair()
+    assert len(set(zip(q.tolist(), res.leaf.tolist()))) == len(q)
+    assert res.q_start[0] == 0 and res.q_start[-1] == len(q)
+    assert np.all(np.diff(q) >= 0)

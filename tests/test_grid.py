@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.grid import DOMAIN, HierarchicalGrid
+from repro.core.grid import DOMAIN, HierarchicalGrid, expand_ranges, leaf_coords
 from repro.core.pivots import pivot_map, select_pivots
 from tests.conftest import unit_rows
 
@@ -13,24 +13,27 @@ def _mapped(n=200, dim=12, n_pivots=3, seed=0):
     return pivot_map(X, P)
 
 
+def _children(hg, level, cell):
+    lo, hi = hg.below(level, np.array([cell]), level + 1)
+    return range(lo[0], hi[0])
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_every_vector_in_exactly_one_leaf(m):
     Xp = _mapped()
     hg = HierarchicalGrid(Xp, m)
-    counts = np.zeros(len(Xp), dtype=int)
-    for idx in hg.leaves.values():
-        counts[idx] += 1
-    assert np.all(counts == 1)
+    leaf, rows = hg.rows(m, np.arange(hg.n_level(m)))
+    assert np.all(np.bincount(rows, minlength=len(Xp)) == 1)
+    assert np.array_equal(hg.leaf_of_vector()[rows], leaf)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_leaf_bounds_contain_vectors(m):
     Xp = _mapped()
     hg = HierarchicalGrid(Xp, m)
-    for coords, idx in hg.leaves.items():
-        lo, up = hg.bounds(m, coords)
-        pts = Xp[idx]
-        assert np.all(pts >= lo - 1e-12) and np.all(pts <= up + 1e-12)
+    leaf, rows = hg.rows(m, np.arange(hg.n_level(m)))
+    lo, up = hg.bounds(m, leaf)
+    assert np.all(Xp[rows] >= lo - 1e-12) and np.all(Xp[rows] <= up + 1e-12)
 
 
 def test_side_lengths_halve():
@@ -44,23 +47,32 @@ def test_children_partition_parents():
     Xp = _mapped()
     hg = HierarchicalGrid(Xp, 3)
     # Walking root→leaves reaches every occupied leaf exactly once.
-    reached = hg.descendant_leaves(0, hg.root())
-    assert sorted(reached) == sorted(hg.leaves.keys())
+    reached, stack = [], [(0, 0)]
+    while stack:
+        level, cell = stack.pop()
+        if level == hg.m:
+            reached.append(cell)
+        else:
+            stack.extend((level + 1, k) for k in _children(hg, level, cell))
+    assert sorted(reached) == list(range(hg.n_level(hg.m)))
 
 
 def test_child_coords_are_children():
     hg = HierarchicalGrid(_mapped(), 3)
-    for (level, parent), kids in hg.children.items():
-        for kid in kids:
-            assert tuple(x >> 1 for x in kid) == parent
+    for level in range(hg.m):
+        for parent in range(hg.n_level(level)):
+            for kid in _children(hg, level, parent):
+                assert np.array_equal(
+                    hg.coords[level + 1][kid] >> 1, hg.coords[level][parent]
+                )
 
 
 def test_boundary_value_clipped():
     """A coordinate exactly at DOMAIN lands in the last cell, not out of range."""
     Xp = np.array([[DOMAIN, 0.0], [0.0, DOMAIN]])
     hg = HierarchicalGrid(Xp, 2)
-    for coords in hg.leaves:
-        assert all(0 <= c < 4 for c in coords)
+    assert np.all((hg.coords[2] >= 0) & (hg.coords[2] < 4))
+    assert np.array_equal(leaf_coords(Xp, 2), [[3, 0], [0, 3]])
 
 
 def test_m_zero_rejected():
@@ -69,10 +81,29 @@ def test_m_zero_rejected():
 
 
 def test_n_cells_counts_all_levels():
-    hg = HierarchicalGrid(_mapped(), 2)
-    assert hg.n_cells() == len(hg.leaves) + len(hg.children)
+    Xp = _mapped()
+    hg = HierarchicalGrid(Xp, 2)
+    leaves = leaf_coords(Xp, 2)
+    distinct = sum(len({tuple(c >> (2 - l)) for c in leaves}) for l in range(3))
+    assert hg.n_cells() == distinct
 
 
 def test_empty_leaf_lookup():
+    """Only non-empty cells are materialized, one per distinct coordinate."""
     hg = HierarchicalGrid(_mapped(), 2)
-    assert hg.vectors_in_leaf((999, 999, 999)).size == 0
+    for level in range(hg.m + 1):
+        assert np.all(np.diff(hg.starts[level]) > 0)
+        assert len(np.unique(hg.coords[level], axis=0)) == hg.n_level(level)
+
+
+def test_nine_pivots_eight_levels():
+    """|P|·m = 72 bits of cell address: more than one int64 key holds."""
+    Xp = _mapped(n=300, n_pivots=9)
+    hg = HierarchicalGrid(Xp, 8)
+    assert np.array_equal(hg.coords[8][hg.leaf_of_vector()], leaf_coords(Xp, 8))
+
+
+def test_expand_ranges():
+    owner, idx = expand_ranges(np.array([3, 0, 7]), np.array([5, 0, 8]))
+    assert owner.tolist() == [0, 0, 2]
+    assert idx.tolist() == [3, 4, 7]

@@ -10,7 +10,7 @@ from repro.core.pivots import (
     pivot_map,
     select_pivots,
 )
-from tests.conftest import unit_rows
+from tests.conftest import time_limit, unit_rows
 
 
 def test_select_pivots_shape():
@@ -30,6 +30,15 @@ def test_select_pivots_distinct():
     X = unit_rows(300, 8)
     P = select_pivots(X, 6)
     assert len({tuple(np.round(p, 9)) for p in P}) == 6
+
+
+def test_select_pivots_fewer_rows_than_pivots():
+    """One pivot per distinct sample row at most, instead of looping forever."""
+    with time_limit(10):
+        P = select_pivots(np.eye(4)[:2], 3)
+        dup = select_pivots(np.vstack([np.eye(4)[:2]] * 3), 5)
+    assert P.shape == (2, 4) and dup.shape == (2, 4)
+    assert len({tuple(p) for p in dup}) == 2
 
 
 def test_select_pivots_empty_raises():

@@ -78,14 +78,34 @@ def test_lemma6_sound(seed, tau):
 
 
 def test_vectors_vs_cell_consistency():
+    """Batched Lemma 3/5 calls (leading axis = query vectors) agree with
+    the one-vector calls, as blocking uses them."""
     g = np.random.default_rng(1)
     Qp = g.uniform(0, 2, (30, 3))
     lo = np.array([0.4, 0.4, 0.4])
     up = np.array([0.9, 0.9, 0.9])
     tau = 0.3
-    filtered, matched = regions.vectors_vs_cell(Qp, lo, up, tau)
+    filtered = regions.cell_filtered_by_vector(lo, up, Qp, tau)
+    matched = regions.cell_matched_by_vector(up, Qp, tau)
+    assert filtered.shape == matched.shape == (30,)
     for i in range(30):
         assert filtered[i] == regions.cell_filtered_by_vector(lo, up, Qp[i], tau)
         assert matched[i] == regions.cell_matched_by_vector(up, Qp[i], tau)
     # A cell can never be both filtered and matched.
     assert not np.any(filtered & matched)
+
+
+def test_cell_predicates_batch_over_pairs():
+    """Lemmas 4/6 over a (k, |P|) batch of cell pairs equal k single calls."""
+    g = np.random.default_rng(2)
+    q_lo, s_lo = g.uniform(0, 1.5, (2, 40, 3))
+    q_up, s_up = q_lo + 0.1, s_lo + 0.1
+    tau = 0.6
+    filt = regions.cell_filtered_by_cell(s_lo, s_up, q_lo, q_up, tau)
+    match = regions.cell_matched_by_cell(s_up, q_up, tau)
+    assert 0 < filt.sum() < 40 and 0 < match.sum() < 40
+    for i in range(40):
+        assert filt[i] == regions.cell_filtered_by_cell(
+            s_lo[i], s_up[i], q_lo[i], q_up[i], tau
+        )
+        assert match[i] == regions.cell_matched_by_cell(s_up[i], q_up[i], tau)

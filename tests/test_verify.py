@@ -4,12 +4,12 @@ import pytest
 
 from repro.baselines import exact_scan
 from repro.core.pexeso import PexesoIndex, t_abs
-from tests.conftest import planted_repo
+from tests.conftest import planted_repo, time_limit
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("tau", [0.15, 0.4, 0.7])
-@pytest.mark.parametrize("n_pivots,m", [(3, 2), (3, 4), (5, 3)])
+@pytest.mark.parametrize("n_pivots,m", [(3, 2), (3, 4), (5, 3), (9, 8)])
 @pytest.mark.parametrize("T", [0.2, 0.5, 0.8])
 def test_pexeso_exact(seed, tau, n_pivots, m, T):
     Q, X, col, n_cols = planted_repo(seed=seed)
@@ -89,3 +89,16 @@ def test_search_counters_populated():
     res = idx.search(Q, 0.4, 0.3)
     assert res.block_seconds >= 0 and res.verify_seconds >= 0
     assert res.n_candidates >= 0 and res.n_distance >= 0
+
+
+@pytest.mark.parametrize("use_inverted", [True, False])
+def test_fewer_vectors_than_pivots(use_inverted):
+    """A 2-vector repository with |P| = 5 builds (one pivot per distinct
+    vector) and answers exactly."""
+    Q, X, col, n_cols = planted_repo(seed=11, n_cols=2, col_size=1)
+    with time_limit(10):
+        idx = PexesoIndex(X, col, n_cols, n_pivots=5, m=3)
+    assert idx.pivots.shape[0] == 2
+    for tau in (0.3, 1.2):
+        truth = exact_scan.joinable_columns(Q, X, col, n_cols, tau, t_abs(0.1, len(Q)))
+        assert idx.search(Q, tau, 0.1, use_inverted=use_inverted).joinable == truth
