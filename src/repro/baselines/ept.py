@@ -8,16 +8,17 @@ pivot space (∃ pivot j: |d(x,p_j) - d(q,p_j)| > τ).
 The scan is organized per column, like the paper's setup: every method
 is "equipped with the early termination technique" that skips all the
 vectors of a column once its joinability counter reaches T — which
-requires column-granular processing. All competitors in this repo use
-the same loop granularity (Python per (query vector, column), numpy
-inside), mirroring the paper's all-Python implementations, so wall
-times are comparable across methods.
+requires column-granular processing. EPT loops in Python per (query
+vector, column), with numpy inside, mirroring the paper's all-Python
+implementations. The other competitors do not: CTREE runs one range
+query per query vector over all columns, and PEXESO verifies all of a
+query vector's candidate columns in one batched step.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pivots import pivot_map, select_pivots
+from repro.core.pivots import lemma1_filter_mask, pivot_map, select_pivots
 
 __all__ = ["PivotTable", "ept_search"]
 
@@ -29,16 +30,6 @@ class PivotTable:
         self.X = X
         self.pivots = select_pivots(X, n_pivots, seed=seed)
         self.Xp = pivot_map(X, self.pivots)
-
-    def range_query(self, q: np.ndarray, tau: float, counter: list[int]) -> np.ndarray:
-        """Column-agnostic range query (used by unit tests)."""
-        qp = pivot_map(q[None, :], self.pivots)[0]
-        rows = np.flatnonzero(np.all(np.abs(self.Xp - qp) <= tau, axis=1))
-        if len(rows) == 0:
-            return rows
-        d = np.linalg.norm(self.X[rows] - q, axis=1)
-        counter[0] += len(rows)
-        return rows[d <= tau]
 
 
 def ept_search(
@@ -67,7 +58,7 @@ def ept_search(
         for col, rows in col_rows.items():
             if col in joinable:
                 continue  # early termination
-            sub = rows[np.all(np.abs(table.Xp[rows] - qp) <= tau, axis=1)]
+            sub = rows[lemma1_filter_mask(table.Xp[rows], qp, tau)]
             if len(sub) == 0:
                 continue
             d = np.linalg.norm(table.X[sub] - q, axis=1)

@@ -4,6 +4,10 @@ A query record matches a target record iff the raw string values are
 exactly equal; column joinability is the fraction of query records with
 at least one equal value in the target column — a pure Catalyst
 pipeline (join + groupBy), oracle-checked against DuckDB in tests.
+
+``joinability`` is that last step for every Spark matcher: equi,
+Jaccard and fuzzy join here, and the pivot-blocked vector join of
+:mod:`repro.spark.blocking`.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-__all__ = ["query_df", "equi_joinability"]
+__all__ = ["query_df", "joinability", "equi_joinability"]
 
 
 def query_df(spark: SparkSession, query: list[str]) -> DataFrame:
@@ -21,19 +25,26 @@ def query_df(spark: SparkSession, query: list[str]) -> DataFrame:
     )
 
 
+def joinability(pairs: DataFrame, n_q: int) -> DataFrame:
+    """(col_id, n_matched, joinability) from record matches (col_id, q_id, …).
+
+    jn(Q, S) (§II-A) is the fraction of the ``n_q`` query records with
+    at least one match in column S. Columns with zero matches are
+    absent from the output (their joinability is 0).
+    """
+    return (
+        pairs.groupBy("col_id")
+        .agg(F.countDistinct("q_id").alias("n_matched"))
+        .withColumn("joinability", F.col("n_matched") / F.lit(n_q))
+    )
+
+
 def equi_joinability(
     spark: SparkSession, query: list[str], lake_df: DataFrame
 ) -> DataFrame:
     """(col_id, n_matched, joinability) per lake column under equi-join.
 
-    ``lake_df`` columns: col_id, vec_id, value. Columns with zero
-    matches are absent from the output (their joinability is 0).
+    ``lake_df`` columns: col_id, vec_id, value.
     """
     q = query_df(spark, query)
-    n_q = len(query)
-    return (
-        lake_df.join(q, lake_df["value"] == q["q_value"])
-        .groupBy("col_id")
-        .agg(F.countDistinct("q_id").alias("n_matched"))
-        .withColumn("joinability", F.col("n_matched") / F.lit(n_q))
-    )
+    return joinability(lake_df.join(q, lake_df["value"] == q["q_value"]), len(query))

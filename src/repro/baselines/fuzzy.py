@@ -14,7 +14,8 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.baselines.equi import query_df
+from repro.baselines.equi import joinability, query_df
+from repro.baselines.jaccard import set_similarity
 
 __all__ = ["char_ngrams", "fuzzy_joinability"]
 
@@ -36,26 +37,5 @@ def fuzzy_joinability(
     spark: SparkSession, query: list[str], lake_df: DataFrame, *, theta: float = 0.5
 ) -> DataFrame:
     """(col_id, n_matched, joinability) under char-3-gram Jaccard."""
-    n_q = len(query)
-    q = char_ngrams(query_df(spark, query), "q_value", "q_grams").withColumn(
-        "q_size", F.size("q_grams")
-    )
-    s = char_ngrams(lake_df, "value", "s_grams").withColumn(
-        "s_size", F.size("s_grams")
-    )
-    q_g = q.select("q_id", "q_size", F.explode("q_grams").alias("gram"))
-    s_g = s.select("col_id", "vec_id", "s_size", F.explode("s_grams").alias("gram"))
-    inter = (
-        q_g.join(s_g, "gram")
-        .groupBy("col_id", "vec_id", "q_id", "q_size", "s_size")
-        .agg(F.count("*").alias("inter"))
-    )
-    matched = inter.where(
-        F.col("inter") / (F.col("q_size") + F.col("s_size") - F.col("inter"))
-        >= F.lit(theta)
-    )
-    return (
-        matched.groupBy("col_id")
-        .agg(F.countDistinct("q_id").alias("n_matched"))
-        .withColumn("joinability", F.col("n_matched") / F.lit(n_q))
-    )
+    sim = set_similarity(query_df(spark, query), lake_df, char_ngrams)
+    return joinability(sim.where(F.col("sim") >= F.lit(theta)), len(query))

@@ -26,6 +26,19 @@ from repro.core.pivots import pivot_map, select_pivots
 __all__ = ["SearchResult", "PexesoIndex", "t_abs"]
 
 
+#: Largest accepted | |x|² − 1 | of an input row. The grid's fixed extent
+#: (``grid.DOMAIN``) bounds pivot distances only for unit vectors, so
+#: other input would be answered silently wrong.
+NORM_TOL = 1e-6
+
+
+def _check_unit_rows(name: str, sq_norms: np.ndarray) -> None:
+    """Raise unless every row is finite and unit-norm (given its |x|²)."""
+    # A NaN or infinite entry makes |x|² NaN or infinite, failing the test.
+    if not np.all(np.abs(sq_norms - 1.0) <= NORM_TOL):
+        raise ValueError(f"{name} rows must be finite and unit-norm")
+
+
 def t_abs(T: float, n_query: int) -> int:
     """Absolute joinability threshold: T is a fraction of |Q| (§V)."""
     return max(1, math.ceil(T * n_query))
@@ -57,20 +70,21 @@ class PexesoIndex:
         m: int = 4,
         seed: int = 0,
     ) -> None:
-        """Build the index over target vectors ``X`` (rows unit-norm).
+        """Build the index over target vectors ``X`` (rows finite, unit-norm).
 
         ``col_of_vector`` maps each row of ``X`` to its column index in
         ``[0, n_cols)``.
         """
         if len(X) != len(col_of_vector):
             raise ValueError("X and col_of_vector must align")
+        self.x2 = np.einsum("ij,ij->i", X, X)
+        _check_unit_rows("X", self.x2)
         self.X = X
         self.col_of_vector = np.asarray(col_of_vector, dtype=np.int64)
         self.n_cols = n_cols
         self.m = m
         self.pivots = select_pivots(X, n_pivots, seed=seed)
         self.Xp = pivot_map(X, self.pivots)
-        self.x2 = np.einsum("ij,ij->i", X, X)
         self.grid = HierarchicalGrid(self.Xp, m)
         self.index = InvertedIndex(self.grid, self.col_of_vector)
 
@@ -88,6 +102,9 @@ class PexesoIndex:
         """Find all columns joinable to the query column ``Q`` (Alg. 3)."""
         import time
 
+        if Q.ndim != 2 or Q.shape[1] != self.X.shape[1]:
+            raise ValueError(f"Q must have shape (n, {self.X.shape[1]}), got {Q.shape}")
+        _check_unit_rows("Q", np.einsum("ij,ij->i", Q, Q))
         t0 = time.perf_counter()
         Qp = pivot_map(Q, self.pivots)
         hg_q = HierarchicalGrid(Qp, self.m)

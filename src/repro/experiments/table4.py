@@ -25,7 +25,7 @@ from pyspark.sql import functions as F
 
 from repro.baselines.equi import query_df
 from repro.baselines.fuzzy import char_ngrams
-from repro.baselines.jaccard import tokens
+from repro.baselines.jaccard import set_similarity, tokens
 from repro.baselines.pq import PQIndex, calibrate_radius_scale, pq_search
 from repro.core.pexeso import PexesoIndex, t_abs
 from repro.experiments.common import (
@@ -80,26 +80,11 @@ def _pr(retrieved: set, truth: set) -> PR:
 
 
 def _max_sim_pairs(
-    spark: SparkSession, query: list[str], lake_df, maker
+    spark: SparkSession, query: list[str], lake_df, grams
 ) -> pd.DataFrame:
     """(col_id, q_id, sim): max record-level Jaccard per (column, query)."""
-    q = maker(query_df(spark, query), "q_value", "grams").withColumn(
-        "q_size", F.size("grams")
-    )
-    s = maker(lake_df, "value", "grams").withColumn("s_size", F.size("grams"))
-    q_g = q.select("q_id", "q_size", F.explode("grams").alias("g"))
-    s_g = s.select("col_id", "vec_id", "s_size", F.explode("grams").alias("g"))
-    inter = (
-        q_g.join(s_g, "g")
-        .groupBy("col_id", "vec_id", "q_id", "q_size", "s_size")
-        .agg(F.count("*").alias("i"))
-        .withColumn(
-            "sim", F.col("i") / (F.col("q_size") + F.col("s_size") - F.col("i"))
-        )
-    )
-    return (
-        inter.groupBy("col_id", "q_id").agg(F.max("sim").alias("sim")).toPandas()
-    )
+    sim = set_similarity(query_df(spark, query), lake_df, grams)
+    return sim.groupBy("col_id", "q_id").agg(F.max("sim").alias("sim")).toPandas()
 
 
 def _sweep_string_method(

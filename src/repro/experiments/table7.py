@@ -64,27 +64,38 @@ class EffRow:
     n_distance: int = -1
 
 
-def _searchers_inmemory(X, col, n_cols, *, n_pivots=5, m=4):
-    """method -> callable(Q, tau, T_abs, T) -> (joinable, n_distance)."""
-    tree = BallTree(X)
-    table = PivotTable(X, n_pivots=n_pivots)
-    engine = PexesoIndex(X, col, n_cols, n_pivots=n_pivots, m=m)
+@dataclass
+class _Indexes:
+    """Every method's index over one repository (or one partition)."""
 
-    def run_ctree(Q, tau, Ta, T):
-        return ctree_search(tree, col, n_cols, Q, tau, Ta)
+    col: np.ndarray
+    n_cols: int
+    ctree: BallTree
+    ept: PivotTable
+    pexeso: PexesoIndex
 
-    def run_ept(Q, tau, Ta, T):
-        return ept_search(table, col, n_cols, Q, tau, Ta)
+    @classmethod
+    def build(cls, X, col, n_cols) -> "_Indexes":
+        return cls(col, n_cols, BallTree(X), PivotTable(X, n_pivots=5),
+                   PexesoIndex(X, col, n_cols, n_pivots=5, m=4))
 
-    def run_h(Q, tau, Ta, T):
-        r = engine.search(Q, tau, T, use_inverted=False)
+    def search(self, method, Q, tau, Ta, T) -> tuple[set[int], int]:
+        """(joinable column indexes, distance computations) of ``method``."""
+        if method == "CTREE":
+            return ctree_search(self.ctree, self.col, self.n_cols, Q, tau, Ta)
+        if method == "EPT":
+            return ept_search(self.ept, self.col, self.n_cols, Q, tau, Ta)
+        r = self.pexeso.search(Q, tau, T, use_inverted=method == "PEXESO")
         return r.joinable, r.n_distance
 
-    def run_px(Q, tau, Ta, T):
-        r = engine.search(Q, tau, T)
-        return r.joinable, r.n_distance
 
-    return {"CTREE": run_ctree, "EPT": run_ept, "PEXESO-H": run_h, "PEXESO": run_px}
+def _check_agree(answers: dict[str, set], T: float, pct: float) -> None:
+    """Raise unless every exact method returned the same joinable set."""
+    if len(set(map(frozenset, answers.values()))) != 1:
+        raise AssertionError(
+            f"exact methods disagree at T={T} τ={pct}: "
+            f"{ {k: len(v) for k, v in answers.items()} }"
+        )
 
 
 def run_inmemory(
@@ -94,13 +105,15 @@ def run_inmemory(
     t_grid=PAPER_T_GRID,
     tau_grid=PAPER_TAU_GRID,
     seed: int = 0,
-    check_agree: bool = True,
 ) -> list[EffRow]:
-    """The left 2/3 of Table VII on the lite datasets."""
+    """The left 2/3 of Table VII on the lite datasets.
+
+    Raises ``AssertionError`` if the methods' joinable sets differ.
+    """
     rows: list[EffRow] = []
     for kind in datasets:
         Q, X, col, uniq = lake_arrays(kind, seed)
-        searchers = _searchers_inmemory(X, col, len(uniq))
+        indexes = _Indexes.build(X, col, len(uniq))
         for T in t_grid:
             Ta = t_abs(T, len(Q))
             for pct in tau_grid:
@@ -108,24 +121,20 @@ def run_inmemory(
                 answers = {}
                 for method in methods:
                     t0 = time.perf_counter()
-                    joinable, n_dist = searchers[method](Q, tau, Ta, T)
+                    joinable, n_dist = indexes.search(method, Q, tau, Ta, T)
                     dt = time.perf_counter() - t0
                     answers[method] = joinable
                     rows.append(
                         EffRow(kind.upper() + "-lite", T, pct, method, dt, n_dist)
                     )
-                if check_agree and len(set(map(frozenset, answers.values()))) != 1:
-                    raise AssertionError(
-                        f"exact methods disagree at T={T} τ={pct}: "
-                        f"{ {k: len(v) for k, v in answers.items()} }"
-                    )
+                _check_agree(answers, T, pct)
     return rows
 
 
 # ---------------- out-of-core (LWDC-lite) ----------------
 def _build_partition_indexes(tmpdir: str, seed: int = 0) -> list[dict]:
-    """Partition LWDC-lite by JSD clustering; pickle one index bundle
-    per (partition, method family) to disk. Returns partition manifests."""
+    """Partition LWDC-lite by JSD clustering; pickle every method's index
+    per partition to disk. Returns partition manifests."""
     lake = lwdc_lake(seed)
     col_vecs = lake.column_matrices()
     assign = jsd_kmeans(col_vecs, N_PARTS, seed=seed)
@@ -138,18 +147,10 @@ def _build_partition_indexes(tmpdir: str, seed: int = 0) -> list[dict]:
         col_of = np.concatenate(
             [np.full(len(col_vecs[c]), i) for i, c in enumerate(cols)]
         )
-        bundle = {
-            "cols": cols,
-            "col_of": col_of,
-            "X": X,
-            "ctree": BallTree(X),
-            "ept": PivotTable(X, n_pivots=5),
-            "pexeso": PexesoIndex(X, col_of, len(cols), n_pivots=5, m=4),
-        }
         path = os.path.join(tmpdir, f"part{part}.pkl")
         with open(path, "wb") as f:
-            pickle.dump(bundle, f)
-        manifests.append({"part": part, "path": path})
+            pickle.dump(_Indexes.build(X, col_of, len(cols)), f)
+        manifests.append({"part": part, "path": path, "cols": cols})
     return manifests
 
 
@@ -160,7 +161,10 @@ def run_outofcore(
     tau_grid=PAPER_TAU_GRID,
     seed: int = 0,
 ) -> list[EffRow]:
-    """The right 1/3 of Table VII: partitioned LWDC-lite with disk loads."""
+    """The right 1/3 of Table VII: partitioned LWDC-lite with disk loads.
+
+    Raises ``AssertionError`` if the methods' merged joinable sets differ.
+    """
     lake = lwdc_lake(seed)
     Q = lake.query_vectors
     rows: list[EffRow] = []
@@ -170,31 +174,19 @@ def run_outofcore(
             Ta = t_abs(T, len(Q))
             for pct in tau_grid:
                 tau = pct * MAX_DISTANCE
+                answers = {}
                 for method in methods:
                     t0 = time.perf_counter()
                     joinable: set[str] = set()
                     for mf in manifests:  # one partition in memory at a time
                         with open(mf["path"], "rb") as f:
-                            bundle = pickle.load(f)
-                        cols, col_of = bundle["cols"], bundle["col_of"]
-                        n_cols = len(cols)
-                        if method == "CTREE":
-                            hit, _ = ctree_search(
-                                bundle["ctree"], col_of, n_cols, Q, tau, Ta
-                            )
-                        elif method == "EPT":
-                            hit, _ = ept_search(
-                                bundle["ept"], col_of, n_cols, Q, tau, Ta
-                            )
-                        elif method == "PEXESO-H":
-                            hit = bundle["pexeso"].search(
-                                Q, tau, T, use_inverted=False
-                            ).joinable
-                        else:
-                            hit = bundle["pexeso"].search(Q, tau, T).joinable
-                        joinable |= {cols[i] for i in hit}
+                            indexes = pickle.load(f)
+                        hit, _ = indexes.search(method, Q, tau, Ta, T)
+                        joinable |= {mf["cols"][i] for i in hit}
                     dt = time.perf_counter() - t0
+                    answers[method] = joinable
                     rows.append(EffRow("LWDC-lite", T, pct, method, dt))
+                _check_agree(answers, T, pct)
     return rows
 
 

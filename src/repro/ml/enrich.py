@@ -22,7 +22,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.baselines.fuzzy import char_ngrams
-from repro.baselines.jaccard import tokens
+from repro.baselines.jaccard import set_similarity, tokens
 from repro.core.pivots import select_pivots
 from repro.embedding.hashing import embed_many
 from repro.lake.generator import normalize
@@ -42,21 +42,6 @@ def _lake_df(spark: SparkSession, task: MLTask) -> DataFrame:
     return spark.createDataFrame(
         pd.DataFrame(rows, columns=["col_id", "vec_id", "value"])
     )
-
-
-def _sim_pairs(q_df: DataFrame, s_df: DataFrame, theta: float) -> DataFrame:
-    """Generic exploded-join similarity matcher on a ``grams`` column."""
-    q_g = q_df.select("q_id", "q_size", F.explode("grams").alias("g"))
-    s_g = s_df.select("col_id", "vec_id", "s_size", F.explode("grams").alias("g"))
-    inter = (
-        q_g.join(s_g, "g")
-        .groupBy("col_id", "vec_id", "q_id", "q_size", "s_size")
-        .agg(F.count("*").alias("i"))
-    )
-    return inter.where(
-        F.col("i") / (F.col("q_size") + F.col("s_size") - F.col("i"))
-        >= F.lit(theta)
-    ).select("col_id", "vec_id", "q_id")
 
 
 def record_pairs(
@@ -87,10 +72,9 @@ def record_pairs(
             "col_id", "vec_id", "q_id"
         )
     if method in ("jaccard", "fuzzy"):
-        maker = tokens if method == "jaccard" else char_ngrams
-        q = maker(qdf, "q_value", "grams").withColumn("q_size", F.size("grams"))
-        s = maker(lake, "value", "grams").withColumn("s_size", F.size("grams"))
-        return _sim_pairs(q, s, theta)
+        grams = tokens if method == "jaccard" else char_ngrams
+        sim = set_similarity(qdf, lake, grams)
+        return sim.where(F.col("sim") >= F.lit(theta)).select("col_id", "vec_id", "q_id")
     if method == "pexeso":
         lake_pdf = lake.toPandas()
         vecs = embed_many(

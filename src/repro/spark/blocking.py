@@ -4,85 +4,75 @@ A second, DataFrame-level realization of PEXESO's block-and-verify,
 exercising the distributed-join shape the repro band asks for:
 
 1. **Map** — every target vector gets its pivot-space coordinates and a
-   grid-cell *blocking key* built from the first ``block_dims`` pivot
-   dimensions at level ``m_block`` (a bounded key space, so the join
-   stays an equi-join; the remaining pivot dimensions still filter in
-   step 3).
-2. **Block** — every query vector explodes to the set of blocking keys
-   its square query region SQR(q', τ) touches; candidates are the
-   equi-join on the key (this is Lemma 3 at cell granularity: cells
-   outside the region never meet the query).
+   grid-cell *blocking key*: one ``long`` packing the ``leaf_coords`` of
+   the first ``min(KEY_DIMS, |P|)`` pivot coordinates at level
+   ``KEY_LEVEL`` (a bounded key space, so the join stays an equi-join;
+   the remaining pivot dimensions still filter in step 3).
+2. **Block** — every query vector explodes to the keys of the cells its
+   square query region SQR(q', τ) touches, the ``leaf_coords`` ranges of
+   ``q' ± τ``; candidates are the equi-join on the key (this is Lemma 3
+   at cell granularity: cells outside the region never meet the query).
 3. **Filter** — Lemma 1 over *all* pivot dimensions as a native column
    expression (``zip_with`` + ``forall``), no Python UDF.
 4. **Verify** — exact Euclidean distance via ``zip_with``/``aggregate``
-   on the original vectors, then ``groupBy(col_id)`` counts matched
-   query vectors → joinability.
+   on the original vectors, then :func:`repro.baselines.equi.joinability`
+   counts matched query vectors per column.
 
 Exactness: steps 2–4 never drop a true match (tested against the numpy
 engine and the DuckDB ``list_distance`` oracle).
 """
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import ArrayType, DoubleType, StringType, StructField, StructType
+from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
-from repro.core.grid import DOMAIN, leaf_coords
-from repro.core.pivots import pivot_map, select_pivots
+from repro.baselines.equi import joinability
+from repro.core.grid import expand_ranges, leaf_coords
+from repro.core.pivots import pivot_map
 
 __all__ = ["build_blocked_repo", "matching_pairs", "blocked_joinability"]
 
+#: Pivot coordinates that make up the blocking key, and the grid level of
+#: its cells: 8 × 8 = 64 keys, few enough that a query region touches a
+#: handful of them and many enough to split the repository.
+KEY_DIMS = 2
+KEY_LEVEL = 3
 
-def build_blocked_repo(
-    repo: DataFrame,
-    pivots: np.ndarray,
-    *,
-    block_dims: int = 2,
-    m_block: int = 3,
-) -> DataFrame:
+#: Weight of each key coordinate: the key is ``sum(c_j << KEY_LEVEL * j)``.
+_KEY_WEIGHT = np.int64(1) << (KEY_LEVEL * np.arange(KEY_DIMS, dtype=np.int64))
+
+_QUERY_SCHEMA = "q_id long, qvec array<double>, qp array<double>, cell long"
+
+
+def build_blocked_repo(repo: DataFrame, pivots: np.ndarray) -> DataFrame:
     """Add pivot coordinates ``xp`` and blocking key ``cell`` to the repo.
 
     The per-row computation is a vectorized Arrow batch (mapInPandas):
     pivot mapping is a dense matrix product, unnatural as a scalar SQL
     expression but a one-liner over Arrow batches.
     """
-    b = min(block_dims, pivots.shape[0])
+    b = min(KEY_DIMS, len(pivots))
     piv = pivots.copy()
 
     def add_cols(batches):
         for pdf in batches:
-            X = np.vstack(pdf["vec"].to_numpy())
-            Xp = pivot_map(X, piv)
-            cells = leaf_coords(Xp[:, :b], m_block)
+            Xp = pivot_map(np.vstack(pdf["vec"].to_numpy()), piv)
             out = pdf.copy()
             out["xp"] = list(Xp)
-            out["cell"] = ["_".join(map(str, c)) for c in cells]
+            out["cell"] = leaf_coords(Xp[:, :b], KEY_LEVEL) @ _KEY_WEIGHT[:b]
             yield out
 
     schema = StructType(
         repo.schema.fields
         + [
             StructField("xp", ArrayType(DoubleType())),
-            StructField("cell", StringType()),
+            StructField("cell", LongType()),
         ]
     )
     return repo.mapInPandas(add_cols, schema=schema)
-
-
-def _query_cells(qp: np.ndarray, tau: float, b: int, m_block: int) -> list[str]:
-    """Blocking keys of all cells touched by SQR(q', τ) in the key dims."""
-    side = DOMAIN / (1 << m_block)
-    hi_cell = (1 << m_block) - 1
-    ranges = []
-    for j in range(b):
-        lo = max(0, int(np.floor((qp[j] - tau) / side)))
-        hi = min(hi_cell, int(np.floor((qp[j] + tau) / side)))
-        ranges.append(range(lo, hi + 1))
-    return ["_".join(map(str, combo)) for combo in itertools.product(*ranges)]
 
 
 def matching_pairs(
@@ -91,23 +81,29 @@ def matching_pairs(
     Q: np.ndarray,
     pivots: np.ndarray,
     tau: float,
-    *,
-    block_dims: int = 2,
-    m_block: int = 3,
 ) -> DataFrame:
     """All record-level matches (col_id, vec_id, q_id, d2) under τ.
 
     This is the mapping PEXESO presents to the user (§II-A) and the
     input to ML enrichment; ``blocked_joinability`` aggregates it.
     """
-    b = min(block_dims, pivots.shape[0])
+    b = min(KEY_DIMS, len(pivots))
     Qp = pivot_map(Q, pivots)
-    rows = []
-    for qi in range(len(Q)):
-        for key in _query_cells(Qp[qi], tau, b, m_block):
-            rows.append((qi, Q[qi].tolist(), Qp[qi].tolist(), key))
+    lo = leaf_coords(Qp[:, :b] - tau, KEY_LEVEL)
+    hi = leaf_coords(Qp[:, :b] + tau, KEY_LEVEL) + 1
+    # One row per (query vector, touched cell): the product of the
+    # per-coordinate cell ranges, one coordinate at a time.
+    q_id = np.arange(len(Q))
+    cell = np.zeros(len(Q), dtype=np.int64)
+    for j in range(b):
+        owner, c = expand_ranges(lo[q_id, j], hi[q_id, j])
+        q_id, cell = q_id[owner], cell[owner] + c * _KEY_WEIGHT[j]
     qdf = spark.createDataFrame(
-        pd.DataFrame(rows, columns=["q_id", "qvec", "qp", "cell"])
+        pd.DataFrame(
+            {"q_id": q_id, "qvec": Q[q_id].tolist(), "qp": Qp[q_id].tolist(),
+             "cell": cell}
+        ),
+        schema=_QUERY_SCHEMA,
     )
 
     joined = blocked_repo.join(qdf, "cell")
@@ -136,18 +132,6 @@ def blocked_joinability(
     Q: np.ndarray,
     pivots: np.ndarray,
     tau: float,
-    *,
-    block_dims: int = 2,
-    m_block: int = 3,
 ) -> DataFrame:
     """(col_id, n_matched, joinability) via the Catalyst dataflow."""
-    matched = matching_pairs(
-        spark, blocked_repo, Q, pivots, tau,
-        block_dims=block_dims, m_block=m_block,
-    )
-    n_q = len(Q)
-    return (
-        matched.groupBy("col_id")
-        .agg(F.countDistinct("q_id").alias("n_matched"))
-        .withColumn("joinability", F.col("n_matched") / F.lit(n_q))
-    )
+    return joinability(matching_pairs(spark, blocked_repo, Q, pivots, tau), len(Q))

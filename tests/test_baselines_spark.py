@@ -8,9 +8,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.equi import equi_joinability
-from repro.baselines.fuzzy import fuzzy_joinability
-from repro.baselines.jaccard import jaccard_joinability
+from repro.baselines.equi import equi_joinability, query_df
+from repro.baselines.fuzzy import char_ngrams, fuzzy_joinability
+from repro.baselines.jaccard import jaccard_joinability, set_similarity, tokens
 from repro.lake.generator import lake_to_spark
 from repro.oracle import assert_equivalent
 
@@ -80,6 +80,39 @@ def _exploded(values, make):
         for t in toks:
             rows.append((*key, len(toks), t))
     return rows
+
+
+@pytest.mark.parametrize(
+    "grams,make", [(tokens, _tokenize), (char_ngrams, _grams)],
+    ids=["tokens", "char_ngrams"],
+)
+def test_set_similarity_matches_oracle(spark, tiny_lake, lake_df, lake_pdf, grams, make):
+    """Per-pair Jaccard similarity of every (query record, lake row) that
+    share a gram — the record-level input of Jaccard, fuzzy, Table IV
+    and ML enrichment."""
+    got = set_similarity(query_df(spark, tiny_lake.query), lake_df, grams)
+    q_g = pd.DataFrame(
+        _exploded([((i,), s) for i, s in enumerate(tiny_lake.query)], make),
+        columns=["q_id", "q_size", "gram"],
+    )
+    s_g = pd.DataFrame(
+        _exploded(
+            [((r.col_id, r.vec_id), r.value) for r in lake_pdf.itertuples()], make
+        ),
+        columns=["col_id", "vec_id", "s_size", "gram"],
+    )
+    assert_equivalent(
+        got,
+        """
+        SELECT s.col_id, s.vec_id, q.q_id,
+               count(*) / CAST(any_value(q.q_size) + any_value(s.s_size) - count(*)
+                               AS DOUBLE) AS sim
+        FROM q_g q JOIN s_g s USING (gram)
+        GROUP BY s.col_id, s.vec_id, q.q_id
+        """,
+        q_g=q_g,
+        s_g=s_g,
+    )
 
 
 @pytest.mark.parametrize("theta", [0.4, 0.6, 0.8])

@@ -96,3 +96,24 @@ def test_table7_outofcore_small():
     )
     assert len(rows) == 1
     assert rows[0].dataset == "LWDC-lite" and rows[0].seconds > 0
+
+
+def test_table7_outofcore_methods_agree():
+    # run_outofcore raises if the four methods' merged joinable sets differ;
+    # at T=20%, τ=8% the exact answer holds 184 LWDC-lite columns.
+    rows = table7.run_outofcore(t_grid=[0.2], tau_grid=[0.08])
+    assert [r.method for r in rows] == table7.METHODS
+
+
+def test_table7_outofcore_disagreement_raises(monkeypatch):
+    search = table7._Indexes.search
+
+    def drop_pexeso_h(self, method, *args):
+        hit, n_dist = search(self, method, *args)
+        return (set() if method == "PEXESO-H" else hit), n_dist
+
+    monkeypatch.setattr(table7._Indexes, "search", drop_pexeso_h)
+    with pytest.raises(AssertionError, match="disagree"):
+        table7.run_outofcore(
+            methods=["PEXESO-H", "PEXESO"], t_grid=[0.2], tau_grid=[0.08]
+        )

@@ -22,7 +22,7 @@ def setup(spark, tiny_lake):
     X, _ = tiny_lake.all_vectors()
     pivots = select_pivots(X, 3, seed=0)
     repo = lake_to_spark(spark, tiny_lake)
-    blocked = build_blocked_repo(repo, pivots, block_dims=2, m_block=3)
+    blocked = build_blocked_repo(repo, pivots)
     blocked.cache().count()
     return pivots, repo, blocked
 
@@ -30,9 +30,10 @@ def setup(spark, tiny_lake):
 def test_blocked_repo_schema(setup):
     _, repo, blocked = setup
     assert set(blocked.columns) == set(repo.columns) | {"xp", "cell"}
+    assert dict(blocked.dtypes)["cell"] == "bigint"
     row = blocked.first()
     assert len(row["xp"]) == 3
-    assert row["cell"].count("_") == 1  # block_dims=2 → "i_j"
+    assert 0 <= row["cell"] < 8 * 8  # two level-3 coordinates, 8 cells each
 
 
 def test_cell_key_matches_numpy(setup, tiny_lake):
@@ -46,14 +47,14 @@ def test_cell_key_matches_numpy(setup, tiny_lake):
     Xp = pivot_map(X, pivots)
     side = DOMAIN / (1 << 3)
     coords = np.clip(np.floor(Xp[:, :2] / side).astype(int), 0, 7)
-    want = ["_".join(map(str, c)) for c in coords]
-    assert list(pdf["cell"]) == want
+    want = coords[:, 0] + 8 * coords[:, 1]
+    assert list(pdf["cell"]) == want.tolist()
 
 
 def test_blocked_joinability_equals_numpy(spark, setup, tiny_lake):
     pivots, _, blocked = setup
     got = blocked_joinability(
-        spark, blocked, tiny_lake.query_vectors, pivots, TAU, block_dims=2, m_block=3
+        spark, blocked, tiny_lake.query_vectors, pivots, TAU
     )
     rows = {r["col_id"]: r["n_matched"] for r in got.collect()}
     X, ids = tiny_lake.all_vectors()
@@ -70,7 +71,7 @@ def test_blocked_joinability_matches_duckdb_oracle(spark, setup, tiny_lake):
     """End-to-end vector-similarity joinability vs DuckDB list_distance."""
     pivots, repo, blocked = setup
     got = blocked_joinability(
-        spark, blocked, tiny_lake.query_vectors, pivots, TAU, block_dims=2, m_block=3
+        spark, blocked, tiny_lake.query_vectors, pivots, TAU
     )
     lake_pdf = repo.select("col_id", "vec_id", "vec").toPandas()
     q_pdf = pd.DataFrame(
@@ -95,20 +96,18 @@ def test_blocked_joinability_matches_duckdb_oracle(spark, setup, tiny_lake):
     )
 
 
-@pytest.mark.parametrize("m_block", [2, 4])
-def test_blocking_granularity_does_not_change_answer(spark, setup, tiny_lake, m_block):
-    pivots, repo, _ = setup
-    blocked = build_blocked_repo(repo, pivots, block_dims=2, m_block=m_block)
-    got = blocked_joinability(
-        spark, blocked, tiny_lake.query_vectors, pivots, TAU,
-        block_dims=2, m_block=m_block,
-    )
+@pytest.mark.parametrize("tau", [0.05, 0.9])
+def test_query_region_size_does_not_change_answer(spark, setup, tiny_lake, tau):
+    """On this lake, τ = 0.05 gives query regions of one to four key
+    cells (five queries touch one); τ = 0.9 gives 36 to 56 cells."""
+    pivots, _, blocked = setup
+    got = blocked_joinability(spark, blocked, tiny_lake.query_vectors, pivots, tau)
     base = {r["col_id"]: r["n_matched"] for r in got.collect()}
     X, ids = tiny_lake.all_vectors()
     uniq = sorted(set(ids))
     col_idx = np.array([uniq.index(c) for c in ids])
     counts = exact_scan.match_counts(
-        tiny_lake.query_vectors, X, col_idx, len(uniq), TAU
+        tiny_lake.query_vectors, X, col_idx, len(uniq), tau
     )
     for i, cid in enumerate(uniq):
         assert base.get(cid, 0) == counts[i]

@@ -102,3 +102,43 @@ def test_fewer_vectors_than_pivots(use_inverted):
     for tau in (0.3, 1.2):
         truth = exact_scan.joinable_columns(Q, X, col, n_cols, tau, t_abs(0.1, len(Q)))
         assert idx.search(Q, tau, 0.1, use_inverted=use_inverted).joinable == truth
+
+
+def test_rejects_non_unit_repository():
+    """The grid's fixed extent holds only for unit vectors: rescaled rows
+    would lose matches silently, so the build refuses them."""
+    Q, X, col, n_cols = planted_repo(seed=12)
+    scale = np.random.default_rng(0).uniform(0.3, 3.0, (len(X), 1))
+    with pytest.raises(ValueError, match="unit-norm"):
+        PexesoIndex(X * scale, col, n_cols, n_pivots=3, m=3)
+
+
+def test_rejects_non_finite_repository():
+    Q, X, col, n_cols = planted_repo(seed=12)
+    X = X.copy()
+    X[3, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
+
+
+def test_rejects_non_unit_query():
+    Q, X, col, n_cols = planted_repo(seed=12)
+    idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
+    with pytest.raises(ValueError, match="unit-norm"):
+        idx.search(Q * 2.0, 0.4, 0.5)
+
+
+def test_rejects_nan_query():
+    Q, X, col, n_cols = planted_repo(seed=12)
+    idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
+    Q = Q.copy()
+    Q[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        idx.search(Q, 0.4, 0.5)
+
+
+def test_rejects_query_of_other_dimension():
+    Q, X, col, n_cols = planted_repo(seed=12)
+    idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
+    with pytest.raises(ValueError, match="shape"):
+        idx.search(Q[:, :-1], 0.4, 0.5)
