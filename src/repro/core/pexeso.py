@@ -23,7 +23,7 @@ from repro.core.grid import HierarchicalGrid
 from repro.core.inverted import InvertedIndex
 from repro.core.pivots import pivot_map, select_pivots
 
-__all__ = ["SearchResult", "PexesoIndex", "t_abs"]
+__all__ = ["SearchResult", "PexesoIndex", "check_unit_rows", "t_abs"]
 
 
 #: Largest accepted | |x|² − 1 | of an input row. The grid's fixed extent
@@ -32,11 +32,14 @@ __all__ = ["SearchResult", "PexesoIndex", "t_abs"]
 NORM_TOL = 1e-6
 
 
-def _check_unit_rows(name: str, sq_norms: np.ndarray) -> None:
-    """Raise unless every row is finite and unit-norm (given its |x|²)."""
+def check_unit_rows(name: str, X: np.ndarray) -> np.ndarray:
+    """Return the rows' |x|²; raise ``ValueError`` unless every row of
+    ``X`` is finite and unit-norm."""
+    sq_norms = np.einsum("ij,ij->i", X, X)
     # A NaN or infinite entry makes |x|² NaN or infinite, failing the test.
     if not np.all(np.abs(sq_norms - 1.0) <= NORM_TOL):
         raise ValueError(f"{name} rows must be finite and unit-norm")
+    return sq_norms
 
 
 def t_abs(T: float, n_query: int) -> int:
@@ -77,8 +80,7 @@ class PexesoIndex:
         """
         if len(X) != len(col_of_vector):
             raise ValueError("X and col_of_vector must align")
-        self.x2 = np.einsum("ij,ij->i", X, X)
-        _check_unit_rows("X", self.x2)
+        self.x2 = check_unit_rows("X", X)
         self.X = X
         self.col_of_vector = np.asarray(col_of_vector, dtype=np.int64)
         self.n_cols = n_cols
@@ -104,7 +106,7 @@ class PexesoIndex:
 
         if Q.ndim != 2 or Q.shape[1] != self.X.shape[1]:
             raise ValueError(f"Q must have shape (n, {self.X.shape[1]}), got {Q.shape}")
-        _check_unit_rows("Q", np.einsum("ij,ij->i", Q, Q))
+        check_unit_rows("Q", Q)
         t0 = time.perf_counter()
         Qp = pivot_map(Q, self.pivots)
         hg_q = HierarchicalGrid(Qp, self.m)

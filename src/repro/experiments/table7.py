@@ -61,7 +61,7 @@ class EffRow:
     tau_pct: float
     method: str
     seconds: float
-    n_distance: int = -1
+    n_distance: int
 
 
 @dataclass
@@ -178,14 +178,16 @@ def run_outofcore(
                 for method in methods:
                     t0 = time.perf_counter()
                     joinable: set[str] = set()
+                    n_dist = 0
                     for mf in manifests:  # one partition in memory at a time
                         with open(mf["path"], "rb") as f:
                             indexes = pickle.load(f)
-                        hit, _ = indexes.search(method, Q, tau, Ta, T)
+                        hit, n = indexes.search(method, Q, tau, Ta, T)
                         joinable |= {mf["cols"][i] for i in hit}
+                        n_dist += n
                     dt = time.perf_counter() - t0
                     answers[method] = joinable
-                    rows.append(EffRow("LWDC-lite", T, pct, method, dt))
+                    rows.append(EffRow("LWDC-lite", T, pct, method, dt, n_dist))
                 _check_agree(answers, T, pct)
     return rows
 

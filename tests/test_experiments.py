@@ -98,11 +98,22 @@ def test_table7_outofcore_small():
     assert rows[0].dataset == "LWDC-lite" and rows[0].seconds > 0
 
 
-def test_table7_outofcore_methods_agree():
+@pytest.fixture(scope="module")
+def outofcore_rows():
     # run_outofcore raises if the four methods' merged joinable sets differ;
     # at T=20%, τ=8% the exact answer holds 184 LWDC-lite columns.
-    rows = table7.run_outofcore(t_grid=[0.2], tau_grid=[0.08])
-    assert [r.method for r in rows] == table7.METHODS
+    return table7.run_outofcore(t_grid=[0.2], tau_grid=[0.08])
+
+
+def test_table7_outofcore_methods_agree(outofcore_rows):
+    assert [r.method for r in outofcore_rows] == table7.METHODS
+
+
+def test_table7_outofcore_counts_distances(outofcore_rows):
+    """Each row sums its method's distance computations over partitions."""
+    assert all(r.n_distance >= 0 for r in outofcore_rows)
+    by = {r.method: r.n_distance for r in outofcore_rows}
+    assert by["PEXESO"] <= by["PEXESO-H"]
 
 
 def test_table7_outofcore_disagreement_raises(monkeypatch):

@@ -12,7 +12,11 @@ from repro.baselines import exact_scan
 from repro.core.pivots import select_pivots
 from repro.lake.generator import lake_to_spark
 from repro.oracle import assert_equivalent
-from repro.spark.blocking import blocked_joinability, build_blocked_repo
+from repro.spark.blocking import (
+    blocked_joinability,
+    build_blocked_repo,
+    matching_pairs,
+)
 
 TAU = 0.45
 
@@ -111,3 +115,18 @@ def test_query_region_size_does_not_change_answer(spark, setup, tiny_lake, tau):
     )
     for i, cid in enumerate(uniq):
         assert base.get(cid, 0) == counts[i]
+
+
+@pytest.mark.parametrize("search", [matching_pairs, blocked_joinability])
+@pytest.mark.parametrize("bad", ["nan", "non_unit"])
+def test_rejects_bad_query(spark, setup, tiny_lake, search, bad):
+    """A NaN row would fall into a clipped key cell and silently count as
+    unmatched; a non-unit row can fall outside the key grid's extent."""
+    pivots, _, blocked = setup
+    Q = tiny_lake.query_vectors.copy()
+    if bad == "nan":
+        Q[0, 0] = np.nan
+    else:
+        Q *= 2.0
+    with pytest.raises(ValueError, match="finite and unit-norm"):
+        search(spark, blocked, Q, pivots, TAU)

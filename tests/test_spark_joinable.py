@@ -1,4 +1,7 @@
 """Tests for the distributed (§IV-on-Spark) joinable search."""
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
@@ -7,7 +10,12 @@ from repro.baselines import exact_scan
 from repro.core.pexeso import t_abs
 from repro.lake.generator import lake_to_spark
 from repro.partition.cluster import random_partition
-from repro.spark.joinable import assign_partitions, distributed_search
+from repro.spark import joinable
+from repro.spark.joinable import (
+    assign_partitions,
+    distributed_search,
+    partition_indexes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +78,108 @@ def test_distributed_pexeso_h_same_answer(repo_parts, tiny_lake):
 def test_joinability_threshold_enforced(repo_parts, tiny_lake):
     out = distributed_search(repo_parts, tiny_lake.query_vectors, 0.4, 0.5, m=3)
     assert out.where(F.col("joinability") < 0.5 - 1e-9).count() == 0
+
+
+# ---------- the index built once per repository ----------
+def _exact_cols(lake, tau, T, keep=lambda c: True):
+    """Brute-force joinable column ids among the columns ``keep`` accepts."""
+    X, ids = lake.all_vectors()
+    rows = [i for i, c in enumerate(ids) if keep(c)]
+    uniq = sorted({ids[i] for i in rows})
+    idx_of = {c: i for i, c in enumerate(uniq)}
+    col_idx = np.array([idx_of[ids[i]] for i in rows])
+    truth = exact_scan.joinable_columns(
+        lake.query_vectors, X[rows], col_idx, len(uniq), tau,
+        t_abs(T, len(lake.query)),
+    )
+    return {uniq[i] for i in truth}
+
+
+def _search_cols(df, lake, tau, T, **kw):
+    return {
+        r["col_id"]
+        for r in distributed_search(df, lake.query_vectors, tau, T, m=3, **kw).collect()
+    }
+
+
+def _jobs_and_tasks(sc, group, action):
+    """(jobs, tasks run) of the Spark jobs that ``action()`` starts."""
+    sc.setJobGroup(group, group)
+    try:
+        action()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    tracker = sc.statusTracker()
+    jobs = tracker.getJobIdsForGroup(group)
+    # Task counts are final once the listener has seen each job end.
+    deadline = time.monotonic() + 30
+    while any(tracker.getJobInfo(j).status != "SUCCEEDED" for j in jobs):
+        assert time.monotonic() < deadline, "jobs did not finish"
+        time.sleep(0.05)
+    stages = [tracker.getStageInfo(s) for j in jobs for s in tracker.getJobInfo(j).stageIds]
+    return len(jobs), sum(s.numCompletedTasks for s in stages if s is not None)
+
+
+def test_index_built_once_and_reused(spark, repo_parts, tiny_lake):
+    first = partition_indexes(repo_parts, m=3)
+    assert partition_indexes(repo_parts, m=3) is first
+    assert first.rdd.getNumPartitions() <= spark.sparkContext.defaultParallelism
+    assert _search_cols(repo_parts, tiny_lake, 0.4, 0.4) == _exact_cols(tiny_lake, 0.4, 0.4)
+    assert partition_indexes(repo_parts, m=3) is first
+
+
+def test_search_on_built_index_runs_one_narrow_stage(spark, repo_parts, tiny_lake):
+    """After the first search, a search shuffles and rebuilds nothing: one
+    job with one task per cached index partition."""
+    _search_cols(repo_parts, tiny_lake, 0.4, 0.4)  # builds the index
+    n_index_parts = partition_indexes(repo_parts, m=3).rdd.getNumPartitions()
+    n_jobs, n_tasks = _jobs_and_tasks(
+        spark.sparkContext, "second-search",
+        lambda: _search_cols(repo_parts, tiny_lake, 0.3, 0.3),
+    )
+    assert (n_jobs, n_tasks) == (1, n_index_parts)
+
+
+def test_other_repository_never_served_stale_index(repo_parts, tiny_lake):
+    _search_cols(repo_parts, tiny_lake, 0.4, 0.4)  # builds the full index
+    part_of = {r["col_id"]: r["part_id"]
+               for r in repo_parts.select("col_id", "part_id").distinct().collect()}
+    subset = repo_parts.where("part_id != 0")
+    assert _search_cols(subset, tiny_lake, 0.4, 0.4) == _exact_cols(
+        tiny_lake, 0.4, 0.4, keep=lambda c: part_of[c] != 0
+    )
+    # Back on the full repository, its index is rebuilt, not the subset's.
+    assert _search_cols(repo_parts, tiny_lake, 0.4, 0.4) == _exact_cols(tiny_lake, 0.4, 0.4)
+
+
+def test_pexeso_h_on_built_index(repo_parts, tiny_lake):
+    _search_cols(repo_parts, tiny_lake, 0.5, 0.3)
+    built = partition_indexes(repo_parts, m=3)
+    got = _search_cols(repo_parts, tiny_lake, 0.5, 0.3, use_inverted=False)
+    assert partition_indexes(repo_parts, m=3) is built
+    assert got == _exact_cols(tiny_lake, 0.5, 0.3)
+
+
+def test_index_of_stopped_session_is_dropped(monkeypatch, repo_parts, tiny_lake):
+    """Rows cached by a SparkContext since stopped went with it; unpersisting
+    them through it would raise, so they are only dropped."""
+
+    class StaleRows:
+        sparkSession = SimpleNamespace(sparkContext=object())
+
+        def unpersist(self):
+            raise AssertionError("unpersisted through a stopped SparkContext")
+
+    monkeypatch.setattr(joinable, "_latest", (object(), 5, 3, StaleRows()))
+    assert _search_cols(repo_parts, tiny_lake, 0.4, 0.4) == _exact_cols(tiny_lake, 0.4, 0.4)
+
+
+@pytest.mark.parametrize("bad", ["nan", "non_unit"])
+def test_rejects_bad_query(repo_parts, tiny_lake, bad):
+    Q = tiny_lake.query_vectors.copy()
+    if bad == "nan":
+        Q[0, 0] = np.nan
+    else:
+        Q *= 2.0
+    with pytest.raises(ValueError, match="finite and unit-norm"):
+        distributed_search(repo_parts, Q, 0.4, 0.4, m=3)

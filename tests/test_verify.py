@@ -104,6 +104,18 @@ def test_fewer_vectors_than_pivots(use_inverted):
         assert idx.search(Q, tau, 0.1, use_inverted=use_inverted).joinable == truth
 
 
+@pytest.mark.parametrize("use_inverted", [True, False])
+@pytest.mark.parametrize("T", [0.0, 1.0])
+@pytest.mark.parametrize("tau", [1.9, 2.0, 2.5])
+def test_edge_thresholds_exact(tau, T, use_inverted):
+    """τ at or beyond the maximum distance 2 (every pair matches, or
+    nearly) and T at its ends (one match, or every query vector)."""
+    Q, X, col, n_cols = planted_repo(seed=7)
+    idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3, seed=7)
+    truth = exact_scan.joinable_columns(Q, X, col, n_cols, tau, t_abs(T, len(Q)))
+    assert idx.search(Q, tau, T, use_inverted=use_inverted).joinable == truth
+
+
 def test_rejects_non_unit_repository():
     """The grid's fixed extent holds only for unit vectors: rescaled rows
     would lose matches silently, so the build refuses them."""
