@@ -48,6 +48,31 @@ def test_histograms_matrix():
     assert ids == sorted(ids)
 
 
+def _np_histogram(V, n_dirs=4, n_bins=8, seed=123):
+    """One column's histogram from per-direction ``np.histogram`` calls."""
+    D = np.random.default_rng(seed).standard_normal((n_dirs, V.shape[1]))
+    D /= np.linalg.norm(D, axis=1, keepdims=True)
+    h = np.concatenate([np.histogram(p, bins=n_bins, range=(-1.0, 1.0))[0]
+                        for p in (V @ D.T).T]).astype(np.float64) + 1e-9
+    return h / h.sum()
+
+
+@pytest.mark.parametrize("dim", [1, 16])
+def test_histograms_match_np_histogram(dim):
+    """Bit for bit what ``np.histogram`` over [-1, 1] gives. In one
+    dimension every direction is ±1, so the ``edges`` column lands exactly
+    on the bin edges, on ±1 and just outside."""
+    cols = _clustered_columns(k_groups=2, cols_per_group=3, n=30, dim=dim)
+    edge = np.concatenate([np.linspace(-1.0, 1.0, 9), [np.nextafter(1.0, 2.0),
+                           np.nextafter(-1.0, -2.0), np.nextafter(0.25, 0.0)]])
+    cols["edges"] = np.outer(edge, np.eye(dim)[0])
+    cols["empty"] = np.zeros((0, dim))
+    ids, H = histograms(cols)
+    for cid, h in zip(ids, H):
+        assert np.array_equal(h, _np_histogram(cols[cid]))
+        assert np.array_equal(h, column_histogram(cols[cid]))
+
+
 # ---------- JSD ----------
 def test_kld_zero_iff_equal():
     a = np.array([0.25, 0.25, 0.5])
