@@ -43,8 +43,12 @@ def check_unit_rows(name: str, X: np.ndarray) -> np.ndarray:
 
 
 def t_abs(T: float, n_query: int) -> int:
-    """Absolute joinability threshold: T is a fraction of |Q| (§V)."""
-    return max(1, math.ceil(T * n_query))
+    """Absolute joinability threshold (§V): the fewest matches c ≥ 1 with
+    c / |Q| ≥ T − 1e-12, so a column with jn = T exactly is joinable."""
+    c = math.ceil(T * n_query)
+    if (c - 1) / n_query >= T - 1e-12:  # T·|Q| rounded up past an integer
+        c -= 1
+    return max(1, c)
 
 
 @dataclass

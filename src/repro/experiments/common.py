@@ -26,9 +26,7 @@ __all__ = [
     "tau_abs",
     "PAPER_TAU_GRID",
     "PAPER_T_GRID",
-    "open_lake",
-    "swdc_lake",
-    "lwdc_lake",
+    "lite_lake",
     "lake_arrays",
     "timed",
 ]
@@ -36,8 +34,6 @@ __all__ = [
 TAU_FACTOR = 4.0
 PAPER_TAU_GRID = [0.02, 0.04, 0.06, 0.08]  # paper row labels (2–8%)
 PAPER_T_GRID = [0.2, 0.4, 0.6, 0.8]
-DEFAULT_TAU_PCT = 0.06
-DEFAULT_T = 0.6
 
 
 def tau_abs(paper_pct: float) -> float:
@@ -45,26 +41,14 @@ def tau_abs(paper_pct: float) -> float:
     return paper_pct * TAU_FACTOR * MAX_DISTANCE
 
 
-@lru_cache(maxsize=None)
-def open_lake(seed: int = 0) -> DataLake:
-    """OPEN-lite at experiment scale (seed offsets give more queries)."""
-    cfg = dict(OPEN_LITE)
-    cfg["seed"] = cfg["seed"] + seed
-    cfg["name"] = f"{cfg['name']}#{seed}"
-    return make_lake(**cfg)
+_PRESETS = {"open": OPEN_LITE, "swdc": SWDC_LITE, "lwdc": LWDC_LITE}
 
 
 @lru_cache(maxsize=None)
-def swdc_lake(seed: int = 0) -> DataLake:
-    cfg = dict(SWDC_LITE)
-    cfg["seed"] = cfg["seed"] + seed
-    cfg["name"] = f"{cfg['name']}#{seed}"
-    return make_lake(**cfg)
-
-
-@lru_cache(maxsize=None)
-def lwdc_lake(seed: int = 0) -> DataLake:
-    cfg = dict(LWDC_LITE)
+def lite_lake(kind: str, seed: int = 0) -> DataLake:
+    """The ``kind`` ("open", "swdc" or "lwdc") lite lake at experiment
+    scale; seed offsets give more query tables."""
+    cfg = dict(_PRESETS[kind])
     cfg["seed"] = cfg["seed"] + seed
     cfg["name"] = f"{cfg['name']}#{seed}"
     return make_lake(**cfg)
@@ -73,7 +57,7 @@ def lwdc_lake(seed: int = 0) -> DataLake:
 @lru_cache(maxsize=None)
 def lake_arrays(kind: str, seed: int = 0):
     """(Q, X, col_of_vector ints, col_ids list) for a cached lake."""
-    lake = {"open": open_lake, "swdc": swdc_lake, "lwdc": lwdc_lake}[kind](seed)
+    lake = lite_lake(kind, seed)
     X, ids = lake.all_vectors()
     uniq = sorted(set(ids))
     idx_of = {c: i for i, c in enumerate(uniq)}

@@ -31,9 +31,9 @@ from repro.core.pexeso import PexesoIndex, t_abs
 from repro.experiments.common import (
     PAPER_TAU_GRID,
     lake_arrays,
-    open_lake,
-    swdc_lake,
+    lite_lake,
     tau_abs,
+    timed,
 )
 from repro.lake.generator import lake_to_spark
 
@@ -66,17 +66,22 @@ PAPER_TABLE4 = {
 class PR:
     precision: float
     recall: float
+    seconds: float  # one retrieval at this operating point
 
     def f1(self) -> float:
         p, r = self.precision, self.recall
         return 0.0 if p + r == 0 else 2 * p * r / (p + r)
 
 
-def _pr(retrieved: set, truth: set) -> PR:
+def _pr(retrieved: set, truth: set, seconds: float) -> PR:
     if not retrieved:
-        return PR(1.0, 0.0 if truth else 1.0)
+        return PR(1.0, 0.0 if truth else 1.0, seconds)
     inter = len(retrieved & truth)
-    return PR(inter / len(retrieved), inter / len(truth) if truth else 1.0)
+    return PR(inter / len(retrieved), inter / len(truth) if truth else 1.0, seconds)
+
+
+def _mean(prs: list[PR]) -> PR:
+    return PR(*np.mean([(p.precision, p.recall, p.seconds) for p in prs], axis=0).tolist())
 
 
 def _max_sim_pairs(
@@ -88,16 +93,17 @@ def _max_sim_pairs(
 
 
 def _sweep_string_method(
-    sim_pdf: pd.DataFrame, n_q: int, truth: set, col_universe: list[str]
+    sim_pdf: pd.DataFrame, seconds: float, n_q: int, truth: set
 ) -> dict[tuple[float, float], PR]:
-    """PR at every (θ, T) from the collected max-similarity pairs."""
+    """PR at every (θ, T) from the collected max-similarity pairs, each
+    charged the ``seconds`` of the one job that collected them."""
     out = {}
     for theta in THETA_SWEEP:
         hits = sim_pdf[sim_pdf["sim"] >= theta]
         counts = hits.groupby("col_id")["q_id"].nunique()
         for T in T_SWEEP:
             retrieved = set(counts[counts >= np.ceil(T * n_q)].index)
-            out[(theta, T)] = _pr(retrieved, truth)
+            out[(theta, T)] = _pr(retrieved, truth, seconds)
     return out
 
 
@@ -109,39 +115,37 @@ def _equi_counts(spark, query, lake_df) -> pd.Series:
 
 
 def run_table4(spark: SparkSession, *, seeds=SEEDS) -> dict[str, dict[str, PR]]:
-    """{dataset: {method: best PR}} averaged over seeds."""
+    """{dataset: {method: best PR}} averaged over seeds.
+
+    Each PR's ``seconds`` is one retrieval at that operating point: the
+    Spark job behind every threshold of equi/Jaccard/fuzzy, one
+    ``PexesoIndex.search``, one PQ-85 ``pq_search``.
+    """
     results: dict[str, dict[str, PR]] = {}
-    for ds_name, lake_fn, kind in [
-        ("OPEN", open_lake, "open"),
-        ("SWDC", swdc_lake, "swdc"),
-    ]:
+    for ds_name, kind in [("OPEN", "open"), ("SWDC", "swdc")]:
         # Per-seed, per-method PR curves; average then pick best F1.
         curves: dict[str, list[dict]] = {}
         for seed in seeds:
-            lake = lake_fn(seed)
+            lake = lite_lake(kind, seed)
             truth = lake.truly_joinable(T_TRUTH)
             n_q = len(lake.query)
             lake_df = lake_to_spark(spark, lake).select("col_id", "vec_id", "value")
             lake_df.cache().count()
-            col_ids = [c.col_id for c in lake.columns]
 
             # equi: threshold sweep on T only.
-            counts = _equi_counts(spark, lake.query, lake_df)
+            counts, eq_s = timed(_equi_counts, spark, lake.query, lake_df)
             eq = {}
             for T in T_SWEEP:
                 retrieved = set(counts[counts >= np.ceil(T * n_q)].index)
-                eq[(None, T)] = _pr(retrieved, truth)
+                eq[(None, T)] = _pr(retrieved, truth, eq_s)
             curves.setdefault("equi-join", []).append(eq)
 
             # jaccard / fuzzy: one Spark job each, sweeps in pandas.
-            jac = _max_sim_pairs(spark, lake.query, lake_df, tokens)
-            curves.setdefault("Jaccard-join", []).append(
-                _sweep_string_method(jac, n_q, truth, col_ids)
-            )
-            fuz = _max_sim_pairs(spark, lake.query, lake_df, char_ngrams)
-            curves.setdefault("fuzzy-join", []).append(
-                _sweep_string_method(fuz, n_q, truth, col_ids)
-            )
+            for method, grams in (("Jaccard-join", tokens), ("fuzzy-join", char_ngrams)):
+                sim, sim_s = timed(_max_sim_pairs, spark, lake.query, lake_df, grams)
+                curves.setdefault(method, []).append(
+                    _sweep_string_method(sim, sim_s, n_q, truth)
+                )
 
             # PEXESO: numpy engine over the embedded lake.
             Q, X, col, uniq = lake_arrays(kind, seed)
@@ -150,9 +154,9 @@ def run_table4(spark: SparkSession, *, seeds=SEEDS) -> dict[str, dict[str, PR]]:
             for pct in PAPER_TAU_GRID:
                 tau = tau_abs(pct)
                 for T in T_SWEEP:
-                    res = engine.search(Q, tau, T)
+                    res, px_s = timed(engine.search, Q, tau, T)
                     retrieved = {uniq[i] for i in res.joinable}
-                    px[(pct, T)] = _pr(retrieved, truth)
+                    px[(pct, T)] = _pr(retrieved, truth, px_s)
             curves.setdefault("PEXESO", []).append(px)
             lake_df.unpersist()
 
@@ -160,14 +164,7 @@ def run_table4(spark: SparkSession, *, seeds=SEEDS) -> dict[str, dict[str, PR]]:
         best_params: dict[str, tuple] = {}
         results[ds_name] = {}
         for method, per_seed in curves.items():
-            keys = per_seed[0].keys()
-            avg = {
-                k: PR(
-                    float(np.mean([c[k].precision for c in per_seed])),
-                    float(np.mean([c[k].recall for c in per_seed])),
-                )
-                for k in keys
-            }
+            avg = {k: _mean([c[k] for c in per_seed]) for k in per_seed[0]}
             best_k = max(avg, key=lambda k: avg[k].f1())
             best_params[method] = best_k
             results[ds_name][method] = avg[best_k]
@@ -177,8 +174,7 @@ def run_table4(spark: SparkSession, *, seeds=SEEDS) -> dict[str, dict[str, PR]]:
         tau = tau_abs(pct)
         prs = []
         for seed in seeds:
-            lake = lake_fn(seed)
-            truth = lake.truly_joinable(T_TRUTH)
+            truth = lite_lake(kind, seed).truly_joinable(T_TRUTH)
             Q, X, col, uniq = lake_arrays(kind, seed)
             # Coarse codebooks (8 codes/subspace): at lite scale a fine
             # quantizer is near-exact, which would hide the PQ failure
@@ -187,21 +183,18 @@ def run_table4(spark: SparkSession, *, seeds=SEEDS) -> dict[str, dict[str, PR]]:
             n_sub = 6 if X.shape[1] % 6 == 0 else 5
             pq = PQIndex(X, n_subspaces=n_sub, n_codes=8, seed=seed)
             scale = calibrate_radius_scale(pq, X, Q, tau, 0.85)
-            joinable = pq_search(
-                pq, col, len(uniq), Q, tau, t_abs(T, len(Q)), scale=scale
+            joinable, pq_s = timed(
+                pq_search, pq, col, len(uniq), Q, tau, t_abs(T, len(Q)), scale=scale
             )
-            prs.append(_pr({uniq[i] for i in joinable}, truth))
-        results[ds_name]["our join with PQ-85"] = PR(
-            float(np.mean([p.precision for p in prs])),
-            float(np.mean([p.recall for p in prs])),
-        )
+            prs.append(_pr({uniq[i] for i in joinable}, truth, pq_s))
+        results[ds_name]["our join with PQ-85"] = _mean(prs)
     return results
 
 
 def format_table4(results: dict[str, dict[str, PR]]) -> str:
     lines = [
         f"{'Method':22s} " + "  ".join(
-            f"{ds} P/R (paper P/R)".center(34) for ds in results
+            f"{ds} P/R (paper P/R)".center(34) + f"{'s':>8s}" for ds in results
         )
     ]
     for method in ["equi-join", "Jaccard-join", "fuzzy-join", "PEXESO",
@@ -212,7 +205,8 @@ def format_table4(results: dict[str, dict[str, PR]]) -> str:
             pp, pr_paper = PAPER_TABLE4[ds][method]
             cells.append(
                 f"{pr.precision:5.3f}/{pr.recall:5.3f} "
-                f"(paper {pp:5.3f}/{pr_paper:5.3f})"
+                f"(paper {pp:5.3f}/{pr_paper:5.3f})".center(34)
+                + f"{pr.seconds:8.4f}"
             )
-        lines.append(f"{method:22s} " + "  ".join(c.center(34) for c in cells))
+        lines.append(f"{method:22s} " + "  ".join(cells))
     return "\n".join(lines)

@@ -35,6 +35,7 @@ class Table5Row:
     score: float
     lift_no_join: float | None
     lift_equi: float | None
+    seconds: float  # record_pairs + enrich
 
 
 def _lifts(rows: list[MLRow], task_type: str) -> list[Table5Row]:
@@ -60,26 +61,19 @@ def _lifts(rows: list[MLRow], task_type: str) -> list[Table5Row]:
                 lift_equi=(
                     None if r.method in ("no-join", "equi") else lift(r.score, equi)
                 ),
+                seconds=r.seconds,
             )
         )
     return out
 
 
 def run_table5(
-    spark: SparkSession, *, theta: float = 0.5, tau: float = 0.5, fast: bool = False
+    spark: SparkSession, *, theta: float = 0.5, tau: float = 0.5
 ) -> dict[str, list[Table5Row]]:
-    """Both Table V panels. ``fast`` shrinks the datasets for benches."""
-    if fast:
-        air = airbnb_lite(n_listings=200, n_areas=30, rows_per_sales_table=150)
-        comp = company_lite(n_companies=200, n_lake_tables=3, rows_per_table=100)
-        folds = 2
-    else:
-        air = airbnb_lite()
-        comp = company_lite()
-        folds = 4
+    """Both Table V panels."""
     out = {}
-    for task in (air, comp):
-        rows = run_ml_task(spark, task, theta=theta, tau=tau, n_folds=folds)
+    for task in (airbnb_lite(), company_lite()):
+        rows = run_ml_task(spark, task, theta=theta, tau=tau)
         out[task.name] = _lifts(rows, task.task_type)
     return out
 
@@ -92,7 +86,7 @@ def format_table5(results: dict[str, list[Table5Row]]) -> str:
         lines.append(f"\n== {name} ({metric}; paper values in parens) ==")
         lines.append(
             f"{'Method':10s} {'#Match':>12s} {metric:>18s} "
-            f"{'vs no-join':>16s} {'vs equi':>16s}"
+            f"{'vs no-join':>16s} {'vs equi':>16s} {'s':>7s}"
         )
         paper = papers[name]
         for r in rows:
@@ -110,6 +104,7 @@ def format_table5(results: dict[str, list[Table5Row]]) -> str:
             lines.append(
                 f"{r.method:10s} {match:>12s} "
                 f"{r.score:8.3f} ({p[1]:.3f}) "
-                f"{fmt(r.lift_no_join, p[2]):>16s} {fmt(r.lift_equi, p[3]):>16s}"
+                f"{fmt(r.lift_no_join, p[2]):>16s} {fmt(r.lift_equi, p[3]):>16s} "
+                f"{r.seconds:7.2f}"
             )
     return "\n".join(lines)

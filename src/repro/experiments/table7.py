@@ -32,7 +32,7 @@ from repro.experiments.common import (
     PAPER_T_GRID,
     PAPER_TAU_GRID,
     lake_arrays,
-    lwdc_lake,
+    lite_lake,
 )
 from repro.embedding.hashing import MAX_DISTANCE
 from repro.partition.cluster import jsd_kmeans
@@ -135,7 +135,7 @@ def run_inmemory(
 def _build_partition_indexes(tmpdir: str, seed: int = 0) -> list[dict]:
     """Partition LWDC-lite by JSD clustering; pickle every method's index
     per partition to disk. Returns partition manifests."""
-    lake = lwdc_lake(seed)
+    lake = lite_lake("lwdc", seed)
     col_vecs = lake.column_matrices()
     assign = jsd_kmeans(col_vecs, N_PARTS, seed=seed)
     manifests = []
@@ -165,7 +165,7 @@ def run_outofcore(
 
     Raises ``AssertionError`` if the methods' merged joinable sets differ.
     """
-    lake = lwdc_lake(seed)
+    lake = lite_lake("lwdc", seed)
     Q = lake.query_vectors
     rows: list[EffRow] = []
     with tempfile.TemporaryDirectory() as tmpdir:

@@ -8,6 +8,7 @@ averaging.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ class MLRow:
     method: str
     match_rate: float
     score: float  # RMSE (regression) or micro-F1 (classification)
+    seconds: float  # discovery and enrichment: record_pairs + enrich
 
 
 def _fit_eval(
@@ -105,12 +107,14 @@ def run_ml_task(
 
     rows: list[MLRow] = []
     for method in methods or METHODS:
+        t0 = time.perf_counter()
         pairs = record_pairs(spark, task, method, theta=theta, tau=tau)
         widened, new_cols, match_rate = enrich(spark, task, pairs)
+        seconds = time.perf_counter() - t0
         feats = task.base_features + new_cols
         score = cross_validate(
             spark, widened, feats, task.label_col, task.task_type,
             n_folds=n_folds, seed=seed,
         )
-        rows.append(MLRow(method=method, match_rate=match_rate, score=score))
+        rows.append(MLRow(method, match_rate, score, seconds))
     return rows

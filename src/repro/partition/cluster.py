@@ -1,12 +1,10 @@
 """Column partitioning for out-of-core data lakes (§IV).
 
-Three partitioners, matching §VI-E's Fig. 9 comparison:
+Two of the partitioners in §VI-E's Fig. 9 comparison:
 
 - :func:`jsd_kmeans` — the paper's proposal: k-means over column
   probability histograms with Jensen–Shannon divergence as the metric;
-- :func:`random_partition` — uniform random assignment;
-- :func:`avg_kmeans` — k-means over each column's *average vector*
-  (Euclidean), the strongest simple alternative in Fig. 9.
+- :func:`random_partition` — uniform random assignment.
 
 All return ``{col_id: partition}`` with partitions in ``[0, k)``.
 """
@@ -17,7 +15,7 @@ import numpy as np
 from repro.partition.histogram import histograms
 from repro.partition.jsd import jsd_matrix
 
-__all__ = ["jsd_kmeans", "random_partition", "avg_kmeans"]
+__all__ = ["jsd_kmeans", "random_partition"]
 
 
 def jsd_kmeans(
@@ -56,30 +54,3 @@ def random_partition(
     ids = sorted(column_vectors)
     return {cid: int(g.integers(0, k)) for cid in ids}
 
-
-def avg_kmeans(
-    column_vectors: dict[str, np.ndarray],
-    k: int,
-    *,
-    n_iter: int = 10,
-    seed: int = 0,
-) -> dict[str, int]:
-    """k-means on per-column average vectors (Fig. 9's 'average k-means')."""
-    ids = sorted(column_vectors)
-    A = np.vstack([column_vectors[c].mean(axis=0) for c in ids])
-    g = np.random.default_rng(seed)
-    k = min(k, len(ids))
-    centers = A[g.choice(len(ids), size=k, replace=False)].copy()
-    assign = np.zeros(len(ids), dtype=np.int64)
-    for _ in range(n_iter):
-        d2 = (
-            np.einsum("ij,ij->i", A, A)[:, None]
-            + np.einsum("ij,ij->i", centers, centers)[None, :]
-            - 2.0 * A @ centers.T
-        )
-        assign = np.argmin(d2, axis=1)
-        for j in range(k):
-            members = A[assign == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
-    return {cid: int(a) for cid, a in zip(ids, assign)}

@@ -41,6 +41,10 @@ __all__ = ["assign_partitions", "distributed_search", "partition_indexes"]
 
 _INDEX_SCHEMA = "cols array<string>, index binary"
 _RESULT_SCHEMA = "col_id string, n_matched long, joinability double"
+#: Vectors per column sent to the driver for clustering. The sample
+#: bounds driver memory for long columns; every LWDC-lite column (14
+#: vectors) is sent whole.
+_SAMPLE_PER_COLUMN = 64
 
 #: The latest built index: ``(repo_parts, n_pivots, m, index rows)``.
 #: Holding ``repo_parts`` keeps its identity from being reused by another
@@ -54,7 +58,6 @@ def assign_partitions(
     k: int,
     *,
     partitioner: Callable[[dict[str, np.ndarray], int], dict[str, int]] | None = None,
-    sample_per_column: int = 64,
 ) -> DataFrame:
     """Add a ``part_id`` column via §IV clustering on column histograms.
 
@@ -70,7 +73,7 @@ def assign_partitions(
             "_rn",
             F.row_number().over(Window.partitionBy("col_id").orderBy("vec_id")),
         )
-        .where(F.col("_rn") <= sample_per_column)
+        .where(F.col("_rn") <= _SAMPLE_PER_COLUMN)
         .select("col_id", "vec")
         .toPandas()
     )
@@ -174,8 +177,6 @@ def distributed_search(
                     }
                 )
 
-    return (
-        partition_indexes(repo_parts, n_pivots=n_pivots, m=m)
-        .mapInPandas(search_partitions, schema=_RESULT_SCHEMA)
-        .where(F.col("joinability") >= F.lit(float(T)) - F.lit(1e-12))
+    return partition_indexes(repo_parts, n_pivots=n_pivots, m=m).mapInPandas(
+        search_partitions, schema=_RESULT_SCHEMA
     )

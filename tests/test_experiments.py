@@ -6,8 +6,11 @@ scale, so the job scripts cannot rot.
 import numpy as np
 import pytest
 
-from repro.experiments import table3, table6, table7
+from repro.experiments import table3, table5, table6, table7
 from repro.experiments.common import TAU_FACTOR, lake_arrays, tau_abs, timed
+from repro.ml.datasets import airbnb_lite
+from repro.ml.enrich import METHODS
+from repro.ml.tasks import run_ml_task
 
 
 # ---------- common ----------
@@ -37,11 +40,25 @@ def test_table3_rows_match_presets():
     assert rows[0]["dim"] == 300 and rows[1]["dim"] == 50
     assert all(r["n_vectors"] == r["n_columns"] * r["avg_vectors_per_col"]
                for r in rows)
+    assert all(r["seconds"] > 0 for r in rows)
+    assert "Gen. s" in table3.format_table3(rows)
 
 
 def test_table3_format_includes_paper():
     txt = table3.format_table3(table3.PAPER_TABLE3)
     assert "17.2M" in txt and "GloVe" in txt
+
+
+# ---------- Table V ----------
+def test_table5_rows_and_format(spark):
+    air = airbnb_lite(n_listings=120, n_areas=20, rows_per_sales_table=80, seed=1)
+    rows = table5._lifts(run_ml_task(spark, air, n_folds=2), air.task_type)
+    assert [r.method for r in rows] == METHODS
+    for r in rows:
+        assert r.seconds >= 0
+        assert (r.lift_no_join is None) == (r.method == "no-join")
+    txt = table5.format_table5({air.name: rows})
+    assert all(m in txt for m in METHODS)
 
 
 # ---------- Table VI ----------

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.partition.cluster import avg_kmeans, jsd_kmeans, random_partition
+from repro.partition.cluster import jsd_kmeans, random_partition
 from repro.partition.histogram import column_histogram, histograms
 from repro.partition.jsd import jsd, jsd_matrix, kld
 from tests.conftest import unit_rows
@@ -101,7 +101,7 @@ def test_jsd_matrix_matches_scalar():
 
 
 # ---------- partitioners ----------
-@pytest.mark.parametrize("fn", [jsd_kmeans, random_partition, avg_kmeans])
+@pytest.mark.parametrize("fn", [jsd_kmeans, random_partition])
 def test_partitioner_contract(fn):
     cols = _clustered_columns()
     assign = fn(cols, 4, seed=1) if fn is random_partition else fn(cols, 4, seed=1)

@@ -1,4 +1,7 @@
 """Exactness of the full PEXESO search (Algorithms 1+2+3) vs brute force."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,12 @@ def test_t_abs():
     assert t_abs(0.51, 10) == 6
     assert t_abs(0.0, 10) == 1  # at least one match required
     assert t_abs(1.0, 7) == 7
+    # jn = T exactly is joinable (§II), though T·|Q| rounds above 7 here.
+    assert t_abs(0.07, 100) == t_abs(0.14, 50) == t_abs(0.28, 25) == 7
+    for k in range(101):
+        T = k / 100
+        for n in range(1, 301):
+            assert t_abs(T, n) == max(1, math.ceil(Fraction(str(T)) * n)), (T, n)
 
 
 def test_empty_query_region_no_results():
