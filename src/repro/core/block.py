@@ -4,10 +4,10 @@ The descent walks ``HG_Q`` and ``HG_SV`` level by level in lockstep
 (both grids are built with the same ``m``), keeping a frontier of
 surviving (query cell, target cell) index pairs. Each level expands the
 frontier to the cross product of the pairs' children and tests all of it
-with one batched call per lemma from ``regions``: inner levels prune
-with Lemma 4 or resolve with Lemma 6; the leaf level resolves each query
-vector with Lemmas 3 and 5. The output pairs ⟨query vector, leaf cell⟩
-are either
+with the one-pivot tests of ``regions``, one pivot at a time over the
+grids' column-major integer coordinates: inner levels prune with Lemma 4
+or resolve with Lemma 6; the leaf level resolves each query vector with
+Lemmas 3 and 5. The output pairs ⟨query vector, leaf cell⟩ are either
 
 - *matching pairs*: every vector of the ``HG_SV`` leaf is guaranteed to
   match the query vector (no distance computation needed), or
@@ -71,14 +71,16 @@ def block(
         lo, hi = hg_s.below(level - 1, fs, level)
         own, cs = expand_ranges(lo[own], hi[own])
         cq = cq[own]
-        s_lo, s_up = hg_s.bounds(level, cs)
         if level == m:
             break
-        q_lo, q_up = hg_q.bounds(level, cq)
-        matched = regions.cell_matched_by_cell(s_up, q_up, tau)  # Lemma 6
-        survive = ~matched & ~regions.cell_filtered_by_cell(  # Lemma 4
-            s_lo, s_up, q_lo, q_up, tau
-        )
+        side = hg_s.side(level)
+        filtered = matched = False
+        for s_c, q_c in zip(hg_s.coords[level].T, hg_q.coords[level].T):
+            s_lo, q_lo = s_c.take(cs) * side, q_c.take(cq) * side
+            s_up, q_up = s_lo + side, q_lo + side
+            filtered = filtered | regions.filtered_on_pivot(s_lo, s_up, q_lo, q_up, tau)
+            matched = matched | regions.matched_on_pivot(s_up, q_up, tau)
+        survive = ~(matched | filtered)  # Lemma 6 resolves, Lemma 4 prunes
         # Lemma 6 fired: every q under cq matches every leaf under cs.
         own, q = hg_q.rows(level, cq[matched])
         lo, hi = hg_s.below(level, cs[matched], m)
@@ -88,17 +90,26 @@ def block(
         flags.append(np.ones(len(leaf), dtype=bool))
         fq, fs = cq[survive], cs[survive]
 
-    # Leaf × leaf: Lemmas 3 and 5 for every query vector of each pair.
+    # Leaf × leaf: Lemmas 3 and 5 for every query vector of each pair, and
+    # quick browsing's same-coordinates test.
     own, q = hg_q.rows(m, cq)
-    filtered = regions.cell_filtered_by_vector(s_lo[own], s_up[own], Qp[q], tau)
-    matched = regions.cell_matched_by_vector(s_up[own], Qp[q], tau)
+    cs, cq = cs[own], cq[own]
+    side = hg_s.side(m)
+    filtered = matched = False
+    same = True
+    for s_c, q_c, qp_j in zip(hg_s.coords[m].T, hg_q.coords[m].T, Qp.T):
+        c, qp = s_c.take(cs), qp_j.take(q)
+        lo = c * side
+        up = lo + side
+        filtered = filtered | regions.filtered_on_pivot(lo, up, qp, qp, tau)
+        matched = matched | regions.matched_on_pivot(up, qp, tau)
+        same = same & (c == q_c.take(cq))
     if use_quick_browsing:
-        same = np.all(hg_q.coords[m][cq] == hg_s.coords[m][cs], axis=1)[own]
         filtered &= ~same
         matched &= ~same
     keep = matched | ~filtered
     qs.append(q[keep])
-    leaves.append(cs[own][keep])
+    leaves.append(cs[keep])
     flags.append(matched[keep])
     return BlockResult(np.concatenate(qs), np.concatenate(leaves),
                        np.concatenate(flags), hg_q.n)

@@ -9,10 +9,10 @@ integer coordinate.
 ``HierarchicalGrid`` sorts the vectors once, in Z-order (coarsest level
 first), so every cell at every level is one contiguous run of ``order``.
 Per level it stores the CSR ``starts`` of those runs and each cell's
-integer ``coords``. A cell is an integer index into its level; since the
-runs of level ``l`` are unions of runs of level ``l+1``, a cell's
-children (and its descendants at any deeper level) are one
-``searchsorted`` range.
+integer ``coords`` (column-major: one contiguous run per pivot). A cell
+is an integer index into its level; since the runs of level ``l`` are
+unions of runs of level ``l+1``, a cell's children (and its descendants
+at any deeper level) are one ``searchsorted`` range.
 """
 from __future__ import annotations
 
@@ -66,18 +66,13 @@ class HierarchicalGrid:
             first = np.flatnonzero(np.any(cl[1:] != cl[:-1], axis=1)) + 1
             s = np.concatenate(([0], first, [self.n])) if self.n else np.zeros(1, np.int64)
             self.starts.append(s)
-            self.coords.append(cl[s[:-1]])
+            self.coords.append(np.asfortranarray(cl[s[:-1]]))
 
     # -- geometry --------------------------------------------------------
     def side(self, level: int) -> float:
-        """Edge length of a cell at ``level``."""
+        """Edge length of a cell at ``level``: a cell spans
+        ``[coords * side, coords * side + side]`` per pivot."""
         return DOMAIN / (1 << level)
-
-    def bounds(self, level: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) corners of ``cells`` at ``level``, shape (k, |P|)."""
-        s = self.side(level)
-        lo = self.coords[level].take(cells, axis=0) * s
-        return lo, lo + s
 
     # -- topology --------------------------------------------------------
     def n_level(self, level: int) -> int:

@@ -1,11 +1,12 @@
-"""Inverted index over the leaf cells of ``HG_SV`` (§III-C), as CSR arrays.
+"""Inverted index over the leaf cells of ``HG_SV`` (§III-C), as leaf-ordered rows.
 
-One ``lexsort`` of the rows by (leaf cell, column) lays out every
-postings list contiguously: ``rows`` holds the target-matrix row
-indices, a *posting* is one (leaf, column) run of it with column
-``col[p]`` and rows ``rows[start[p]:start[p + 1]]``, and the postings of
-leaf ``c`` are ``leaf_start[c]:leaf_start[c + 1]``, sorted by column —
-the order verification resolves columns in, document-at-a-time (DaaT).
+One ``lexsort`` of the rows by (leaf cell, column) is the only
+permutation: position ``r`` holds target row ``perm[r]``. The per-row
+arrays the search reads — column label ``col``, ``x2 = |x|²`` and the
+pivot coordinates ``XpT`` (column-major, |P| × n) — are stored in that
+order, so leaf ``c`` is the row slice ``leaf_start[c]:leaf_start[c + 1]``
+and a posting (one column's rows in one leaf) is a run of it, in column
+order (DaaT). ``X`` itself is not copied: distances gather ``X[perm[r]]``.
 """
 from __future__ import annotations
 
@@ -17,17 +18,15 @@ __all__ = ["InvertedIndex"]
 
 
 class InvertedIndex:
-    """leaf cell → postings (column, rows) sorted by column, in CSR form."""
+    """leaf cell → row range, rows sorted by (leaf, column)."""
 
-    def __init__(self, hg: HierarchicalGrid, col_of_vector: np.ndarray) -> None:
-        """``col_of_vector[i]`` is the integer column index of vector i."""
-        leaf = hg.leaf_of_vector()
-        self.rows = np.lexsort((col_of_vector, leaf))
-        leaf, cols = leaf[self.rows], col_of_vector[self.rows]
-        new = np.flatnonzero((leaf[1:] != leaf[:-1]) | (cols[1:] != cols[:-1])) + 1
-        first = np.concatenate(([0], new))
-        self.start = np.append(first, len(self.rows))
-        self.col = cols[first]
-        self.leaf_start = np.searchsorted(
-            leaf[first], np.arange(hg.n_level(hg.m) + 1)
-        )
+    def __init__(self, hg: HierarchicalGrid, col_of_vector: np.ndarray,
+                 Xp: np.ndarray, x2: np.ndarray) -> None:
+        """Row i of the grid's vectors has column ``col_of_vector[i]``,
+        pivot coordinates ``Xp[i]`` and ``|x|² = x2[i]``."""
+        self.perm = np.lexsort((col_of_vector, hg.leaf_of_vector()))
+        self.col = col_of_vector[self.perm]
+        self.x2 = x2[self.perm]
+        self.XpT = Xp.T.take(self.perm, axis=1)
+        # Leaves are numbered in row order, so their row ranges are the grid's.
+        self.leaf_start = hg.starts[hg.m]

@@ -33,12 +33,12 @@ NORM_TOL = 1e-6
 
 
 def check_unit_rows(name: str, X: np.ndarray) -> np.ndarray:
-    """Return the rows' |x|²; raise ``ValueError`` unless every row of
-    ``X`` is finite and unit-norm."""
+    """Return the rows' |x|²; raise ``ValueError`` unless ``X`` has rows
+    and every row is finite and unit-norm."""
     sq_norms = np.einsum("ij,ij->i", X, X)
     # A NaN or infinite entry makes |x|² NaN or infinite, failing the test.
-    if not np.all(np.abs(sq_norms - 1.0) <= NORM_TOL):
-        raise ValueError(f"{name} rows must be finite and unit-norm")
+    if not (len(X) and np.all(np.abs(sq_norms - 1.0) <= NORM_TOL)):
+        raise ValueError(f"{name} must have at least one row, each finite and unit-norm")
     return sq_norms
 
 
@@ -79,20 +79,22 @@ class PexesoIndex:
     ) -> None:
         """Build the index over target vectors ``X`` (rows finite, unit-norm).
 
-        ``col_of_vector`` maps each row of ``X`` to its column index in
-        ``[0, n_cols)``.
+        ``col_of_vector`` maps each row of ``X`` to its integer column
+        index in ``[0, n_cols)``; other labels raise ``ValueError``.
         """
-        if len(X) != len(col_of_vector):
+        col = np.asarray(col_of_vector)
+        if len(X) != len(col):
             raise ValueError("X and col_of_vector must align")
-        self.x2 = check_unit_rows("X", X)
+        if col.dtype.kind not in "iu" or not np.all((col >= 0) & (col < n_cols)):
+            raise ValueError(f"col_of_vector must hold integer labels in [0, {n_cols})")
+        x2 = check_unit_rows("X", X)
         self.X = X
-        self.col_of_vector = np.asarray(col_of_vector, dtype=np.int64)
         self.n_cols = n_cols
         self.m = m
         self.pivots = select_pivots(X, n_pivots, seed=seed)
-        self.Xp = pivot_map(X, self.pivots)
-        self.grid = HierarchicalGrid(self.Xp, m)
-        self.index = InvertedIndex(self.grid, self.col_of_vector)
+        Xp = pivot_map(X, self.pivots)
+        self.grid = HierarchicalGrid(Xp, m)
+        self.index = InvertedIndex(self.grid, col.astype(np.int64, copy=False), Xp, x2)
 
     # -- online ----------------------------------------------------------
     def search(
@@ -119,15 +121,15 @@ class PexesoIndex:
         )
         t1 = time.perf_counter()
         T_abs = t_abs(T, len(Q))
-        res = verifymod.verify(
-            blocks, self.index, self.X, self.Xp, self.x2, Q, Qp, tau, T_abs,
-            self.n_cols, use_pivots=use_inverted, early_terminate=early_terminate,
+        match, n_distance = verifymod.verify(
+            blocks, self.index, self.X, Q, Qp, tau, T_abs, self.n_cols,
+            use_pivots=use_inverted, early_terminate=early_terminate,
         )
         t2 = time.perf_counter()
         return SearchResult(
-            joinable=res.joinable,
-            match_counts=res.match,
-            n_distance=res.n_distance,
+            joinable=set(np.flatnonzero(match >= T_abs).tolist()),
+            match_counts=match,
+            n_distance=n_distance,
             n_candidates=blocks.n_candidates(),
             n_match_pairs=blocks.n_matches(),
             block_seconds=t1 - t0,

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["select_pivots", "pivot_map", "lemma1_filter_mask", "lemma2_match_mask"]
+__all__ = [
+    "select_pivots", "pivot_map", "lemma1_survives", "lemma2_matches",
+    "lemma1_filter_mask",
+]
 
 
 def select_pivots(
@@ -62,19 +65,24 @@ def pivot_map(X: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     return np.sqrt(d2)
 
 
+def lemma1_survives(xp: np.ndarray, qp: np.ndarray, tau: float) -> np.ndarray:
+    """Lemma 1 on pivot coordinates, elementwise: |x'[j] - q'[j]| <= τ.
+
+    A row that fails on any pivot lies outside the square query region
+    SQR(q', τ) and provably does not match.
+    """
+    return np.abs(xp - qp) <= tau
+
+
+def lemma2_matches(xp: np.ndarray, qp: np.ndarray, tau: float) -> np.ndarray:
+    """Lemma 2 on pivot coordinates, elementwise: x'[j] + q'[j] <= τ.
+
+    A row that holds on any one pivot j lies in the rectangle query region
+    RQR(q', p_j, τ) and is guaranteed to match.
+    """
+    return xp + qp <= tau
+
+
 def lemma1_filter_mask(Xp: np.ndarray, qp: np.ndarray, tau: float) -> np.ndarray:
-    """Boolean mask of rows of ``Xp`` that *survive* Lemma 1.
-
-    Row x' survives iff |x'[j] - q'[j]| <= τ for every pivot j; rows
-    outside the square query region SQR(q', τ) provably do not match.
-    """
-    return np.all(np.abs(Xp - qp) <= tau, axis=1)
-
-
-def lemma2_match_mask(Xp: np.ndarray, qp: np.ndarray, tau: float) -> np.ndarray:
-    """Boolean mask of rows guaranteed to match by Lemma 2.
-
-    Row x' matches for sure iff x'[j] + q'[j] <= τ for some pivot j
-    (i.e. x' lies in a rectangle query region RQR(q', p_j, τ)).
-    """
-    return np.any(Xp + qp <= tau, axis=1)
+    """Boolean mask of rows of ``Xp`` (n, |P|) that survive Lemma 1."""
+    return np.all(lemma1_survives(Xp, qp, tau), axis=1)

@@ -32,8 +32,8 @@ def test_leaf_bounds_contain_vectors(m):
     Xp = _mapped()
     hg = HierarchicalGrid(Xp, m)
     leaf, rows = hg.rows(m, np.arange(hg.n_level(m)))
-    lo, up = hg.bounds(m, leaf)
-    assert np.all(Xp[rows] >= lo - 1e-12) and np.all(Xp[rows] <= up + 1e-12)
+    lo = hg.coords[m][leaf] * hg.side(m)
+    assert np.all(Xp[rows] >= lo - 1e-12) and np.all(Xp[rows] <= lo + hg.side(m) + 1e-12)
 
 
 def test_side_lengths_halve():

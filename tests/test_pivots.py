@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.pivots import (
     lemma1_filter_mask,
-    lemma2_match_mask,
+    lemma2_matches,
     pivot_map,
     select_pivots,
 )
@@ -90,7 +90,7 @@ def test_lemma2_only_flags_true_matches(seed, tau):
     P = select_pivots(X, 3, seed=seed % 100)
     Xp, qp = pivot_map(X, P), pivot_map(q[None], P)[0]
     d = np.linalg.norm(X - q, axis=1)
-    matched = lemma2_match_mask(Xp, qp, tau)
+    matched = np.any(lemma2_matches(Xp, qp, tau), axis=1)  # any one pivot
     assert np.all(d[matched] <= tau + 1e-9)
 
 

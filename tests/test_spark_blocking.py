@@ -130,3 +130,11 @@ def test_rejects_bad_query(spark, setup, tiny_lake, search, bad):
         Q *= 2.0
     with pytest.raises(ValueError, match="finite and unit-norm"):
         search(spark, blocked, Q, pivots, TAU)
+
+
+@pytest.mark.parametrize("search", [matching_pairs, blocked_joinability])
+def test_rejects_empty_query(spark, setup, tiny_lake, search):
+    """An empty query column has no joinability, so it is rejected."""
+    pivots, _, blocked = setup
+    with pytest.raises(ValueError, match="at least one row"):
+        search(spark, blocked, tiny_lake.query_vectors[:0], pivots, TAU)

@@ -183,3 +183,9 @@ def test_rejects_bad_query(repo_parts, tiny_lake, bad):
         Q *= 2.0
     with pytest.raises(ValueError, match="finite and unit-norm"):
         distributed_search(repo_parts, Q, 0.4, 0.4, m=3)
+
+
+def test_rejects_empty_query(repo_parts, tiny_lake):
+    """An empty query column has no joinability, so it is rejected."""
+    with pytest.raises(ValueError, match="at least one row"):
+        distributed_search(repo_parts, tiny_lake.query_vectors[:0], 0.4, 0.4, m=3)

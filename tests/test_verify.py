@@ -163,3 +163,57 @@ def test_rejects_query_of_other_dimension():
     idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
     with pytest.raises(ValueError, match="shape"):
         idx.search(Q[:, :-1], 0.4, 0.5)
+
+
+def test_rejects_empty_query():
+    """T_abs is a share of |Q|, so an empty query column has no answer."""
+    Q, X, col, n_cols = planted_repo(seed=12)
+    idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
+    with pytest.raises(ValueError, match="at least one row"):
+        idx.search(Q[:0], 0.4, 0.5)
+
+
+def test_rejects_empty_repository():
+    Q, X, col, n_cols = planted_repo(seed=12)
+    with pytest.raises(ValueError, match="at least one row"):
+        PexesoIndex(X[:0], col[:0], n_cols, n_pivots=3, m=3)
+
+
+@pytest.mark.parametrize("bad", ["negative", "too_large", "fractional"])
+def test_rejects_bad_column_labels(bad):
+    """Labels index per-column arrays directly: -1 would alias the last
+    column, and a fractional label would be truncated to another one."""
+    Q, X, col, n_cols = planted_repo(seed=12)
+    col = {
+        "negative": np.where(col == 9, -1, col),
+        "too_large": np.where(col == 9, n_cols, col),
+        "fractional": col + 0.5,
+    }[bad]
+    with pytest.raises(ValueError, match="integer labels"):
+        PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
+
+
+def test_accepts_narrow_integer_labels():
+    Q, X, col, n_cols = planted_repo(seed=12)
+    a = PexesoIndex(X, col, n_cols, n_pivots=3, m=3).search(Q, 0.4, 0.5)
+    b = PexesoIndex(X, col.astype(np.int16), n_cols, n_pivots=3, m=3).search(Q, 0.4, 0.5)
+    assert a.joinable == b.joinable and a.n_distance == b.n_distance
+
+
+@pytest.mark.parametrize("use_inverted", [True, False])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_row_order_independent_of_column_order(seed, use_inverted):
+    """Every fixture stacks each column's rows contiguously; shuffling the
+    rows (labels with them) must change nothing, so a row is mapped back
+    to its own column wherever it is stored."""
+    Q, X, col, n_cols = planted_repo(seed=seed)
+    perm = np.random.default_rng(seed).permutation(len(X))
+    base = PexesoIndex(X, col, n_cols, n_pivots=5, m=3, seed=seed)
+    shuf = PexesoIndex(X[perm], col[perm], n_cols, n_pivots=5, m=3, seed=seed)
+    for tau in (0.15, 0.4, 0.7):
+        for early in (True, False):
+            a, b = (ix.search(Q, tau, 0.5, use_inverted=use_inverted, early_terminate=early)
+                    for ix in (base, shuf))
+            assert a.joinable == b.joinable
+            assert np.array_equal(a.match_counts, b.match_counts)
+            assert a.n_distance == b.n_distance
