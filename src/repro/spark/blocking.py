@@ -33,6 +33,7 @@ from repro.baselines.equi import joinability
 from repro.core.grid import expand_ranges, leaf_coords
 from repro.core.pexeso import check_unit_rows
 from repro.core.pivots import pivot_map
+from repro.spark.worker import install_stat_checked_zip_invalidation
 
 __all__ = ["build_blocked_repo", "matching_pairs", "blocked_joinability"]
 
@@ -59,6 +60,7 @@ def build_blocked_repo(repo: DataFrame, pivots: np.ndarray) -> DataFrame:
     piv = pivots.copy()
 
     def add_cols(batches):
+        install_stat_checked_zip_invalidation()
         for pdf in batches:
             Xp = pivot_map(np.vstack(pdf["vec"].to_numpy()), piv)
             out = pdf.copy()

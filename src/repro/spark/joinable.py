@@ -7,14 +7,20 @@ merge the results — maps onto two Spark steps:
 * **Build, once per repository.** One ``groupBy(part_id).applyInPandas``
   builds every partition's ``PexesoIndex`` and emits one row per
   partition: its column ids and the pickled index. The rows are
-  coalesced to ``defaultParallelism`` partitions and cached; the first
-  search materializes them inside its own job.
+  repartitioned round-robin to ``defaultParallelism`` partitions and
+  cached; the first search materializes them inside its own job.
 * **Search, per query.** One ``mapInPandas`` over the cached rows
   unpickles and searches each index. It shuffles nothing and rebuilds
-  nothing, and it runs as one wave of Python tasks: a wave costs about
-  250 ms on a local 4-core host even with no work in it, more than the
-  searches themselves, so the index is never left at the shuffle's
-  partition count.
+  nothing, and it runs as one wave of Python tasks, one per core. The
+  wave's time is the slowest task's, so the rows are dealt round-robin:
+  ``coalesce`` merged neighbouring shuffle partitions and put 4 of
+  LWDC-lite's 10 indexes (3,318 of its 4,000 columns) in one task, whose
+  search took 143–180 ms against 90–120 ms for the slowest round-robin
+  task.
+
+Every UDF body first calls
+:func:`repro.spark.worker.install_stat_checked_zip_invalidation`, which
+saves each task a re-read of ``pyspark.zip``'s directory.
 
 A column lives in exactly one partition, so merging is a plain union of
 per-partition joinable sets (no cross-partition aggregation needed).
@@ -36,6 +42,7 @@ from pyspark.sql.window import Window
 
 from repro.core.pexeso import PexesoIndex, check_unit_rows
 from repro.partition.cluster import jsd_kmeans
+from repro.spark.worker import install_stat_checked_zip_invalidation
 
 __all__ = ["assign_partitions", "distributed_search", "partition_indexes"]
 
@@ -68,20 +75,7 @@ def assign_partitions(
     they are.
     """
     partitioner = partitioner or jsd_kmeans
-    sampled = (
-        repo.withColumn(
-            "_rn",
-            F.row_number().over(Window.partitionBy("col_id").orderBy("vec_id")),
-        )
-        .where(F.col("_rn") <= _SAMPLE_PER_COLUMN)
-        .select("col_id", "vec")
-        .toPandas()
-    )
-    col_vecs = {
-        cid: np.vstack(g["vec"].to_numpy())
-        for cid, g in sampled.groupby("col_id")
-    }
-    assign = partitioner(col_vecs, k)
+    assign = partitioner(_column_samples(repo), k)
     spark = repo.sparkSession
     mapping = spark.createDataFrame(
         pd.DataFrame(
@@ -91,10 +85,33 @@ def assign_partitions(
     return repo.join(F.broadcast(mapping), "col_id")
 
 
+def _column_samples(repo: DataFrame) -> dict[str, np.ndarray]:
+    """Up to ``_SAMPLE_PER_COLUMN`` vectors of each column, by ``vec_id``,
+    keyed by column id in sorted order."""
+    sampled = (
+        repo.withColumn(
+            "_rn",
+            F.row_number().over(Window.partitionBy("col_id").orderBy("vec_id")),
+        )
+        .where(F.col("_rn") <= _SAMPLE_PER_COLUMN)
+        .select("col_id", "vec")
+        .toArrow()
+    )
+    # A stable sort keeps each column's vectors in the order they arrived.
+    col_id = sampled.column("col_id").to_numpy(zero_copy_only=False)
+    order = np.argsort(col_id, kind="stable")
+    col_id = col_id[order]
+    vecs = sampled.column("vec").combine_chunks().flatten().to_numpy()
+    vecs = vecs.reshape(len(col_id), -1)[order]
+    cut = np.flatnonzero(col_id[1:] != col_id[:-1]) + 1
+    return dict(zip(col_id[np.r_[0, cut]].tolist(), np.split(vecs, cut)))
+
+
 def _build_indexes(repo_parts: DataFrame, n_pivots: int, m: int) -> DataFrame:
     """One lazily cached ``(cols, index)`` row per ``part_id``."""
 
     def build_partition(pdf: pd.DataFrame) -> pd.DataFrame:
+        install_stat_checked_zip_invalidation()
         cols = pdf["col_id"].unique()
         col_index = {c: i for i, c in enumerate(cols)}
         X = np.vstack(pdf["vec"].to_numpy())
@@ -110,7 +127,7 @@ def _build_indexes(repo_parts: DataFrame, n_pivots: int, m: int) -> DataFrame:
         repo_parts.select("part_id", "col_id", "vec")
         .groupBy("part_id")
         .applyInPandas(build_partition, schema=_INDEX_SCHEMA)
-        .coalesce(repo_parts.sparkSession.sparkContext.defaultParallelism)
+        .repartition(repo_parts.sparkSession.sparkContext.defaultParallelism)
         .cache()
     )
 
@@ -165,6 +182,7 @@ def distributed_search(
     n_q = len(Q)
 
     def search_partitions(batches):
+        install_stat_checked_zip_invalidation()
         for pdf in batches:
             for cols, blob in zip(pdf["cols"], pdf["index"]):
                 res = pickle.loads(blob).search(Q, tau, T, use_inverted=use_inverted)

@@ -98,3 +98,44 @@ def test_lake_to_spark_roundtrip(spark, tiny_lake):
     assert n == sum(len(c) for c in tiny_lake.columns)
     assert set(df.columns) == {"col_id", "vec_id", "value", "vec"}
     assert df.select("col_id").distinct().count() == len(tiny_lake.columns)
+
+
+_THRESHOLD = "spark.sql.execution.arrow.localRelationThreshold"
+
+
+@pytest.fixture
+def threshold(spark):
+    """A threshold above the lake's size that no other call leaves behind,
+    restored afterwards."""
+    before = spark.conf.get(_THRESHOLD)
+    spark.conf.set(_THRESHOLD, "100000000")
+    yield spark.conf.get(_THRESHOLD)
+    spark.conf.set(_THRESHOLD, before)
+
+
+def test_lake_to_spark_rows_and_plan(spark, tiny_lake, threshold):
+    """Every row arrives intact, the plan holds an RDD, not the rows, and
+    the session's threshold is as it was."""
+    df = lake_to_spark(spark, tiny_lake)
+    assert spark.conf.get(_THRESHOLD) == threshold
+    got = sorted(
+        (r["col_id"], r["vec_id"], r["value"], tuple(r["vec"])) for r in df.collect()
+    )
+    want = sorted(
+        (c.col_id, i, s, tuple(v.tolist()))
+        for c in tiny_lake.columns
+        for i, (s, v) in enumerate(zip(c.strings, c.vectors))
+    )
+    assert got == want
+    plan = df._jdf.queryExecution().analyzed()
+    assert plan.getClass().getSimpleName() != "LocalRelation"
+
+
+def test_lake_to_spark_restores_threshold_on_error(monkeypatch, spark, tiny_lake, threshold):
+    def fail(*args, **kwargs):
+        raise RuntimeError("createDataFrame failed")
+
+    monkeypatch.setattr(spark, "createDataFrame", fail)
+    with pytest.raises(RuntimeError, match="createDataFrame failed"):
+        lake_to_spark(spark, tiny_lake)
+    assert spark.conf.get(_THRESHOLD) == threshold

@@ -5,11 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
+from pyspark.sql.window import Window
 
 from repro.baselines import exact_scan
 from repro.core.pexeso import t_abs
 from repro.lake.generator import lake_to_spark
-from repro.partition.cluster import random_partition
+from repro.partition.cluster import jsd_kmeans, random_partition
 from repro.spark import joinable
 from repro.spark.joinable import (
     assign_partitions,
@@ -29,6 +30,28 @@ def test_assign_partitions_covers_all_columns(repo_parts, tiny_lake):
     rows = repo_parts.select("col_id", "part_id").distinct().collect()
     assert len(rows) == len(tiny_lake.columns)  # one partition per column
     assert {r["part_id"] for r in rows} <= set(range(4))
+
+
+def test_column_samples_match_pandas_groupby(spark, tiny_lake):
+    """The Arrow read gives each column the same vectors, bit for bit and
+    in the same order, as ``toPandas`` plus a pandas ``groupby``."""
+    repo = lake_to_spark(spark, tiny_lake)
+    pdf = (
+        repo.withColumn(
+            "_rn",
+            F.row_number().over(Window.partitionBy("col_id").orderBy("vec_id")),
+        )
+        .where(F.col("_rn") <= joinable._SAMPLE_PER_COLUMN)
+        .select("col_id", "vec")
+        .toPandas()
+    )
+    want = {cid: np.vstack(g["vec"].to_numpy()) for cid, g in pdf.groupby("col_id")}
+    got = joinable._column_samples(repo)
+    assert list(got) == list(want)
+    for cid, vecs in want.items():
+        assert got[cid].dtype == vecs.dtype and got[cid].shape == vecs.shape
+        assert got[cid].tobytes() == vecs.tobytes()
+    assert jsd_kmeans(got, 4) == jsd_kmeans(want, 4)
 
 
 def test_assign_partitions_custom_partitioner(spark, tiny_lake):

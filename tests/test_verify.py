@@ -217,3 +217,14 @@ def test_row_order_independent_of_column_order(seed, use_inverted):
             assert a.joinable == b.joinable
             assert np.array_equal(a.match_counts, b.match_counts)
             assert a.n_distance == b.n_distance
+
+
+def test_index_keeps_one_row_order():
+    """The inverted index's ``perm`` is the index's only row order: the
+    repository grid drops its own, and search still equals the scan."""
+    Q, X, col, n_cols = planted_repo(seed=1)
+    idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
+    assert not hasattr(idx.grid, "order")
+    assert idx.search(Q, 0.4, 0.5).joinable == exact_scan.joinable_columns(
+        Q, X, col, n_cols, 0.4, t_abs(0.5, len(Q))
+    )
