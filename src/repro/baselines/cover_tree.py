@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pexeso import check_unit_rows
+
 __all__ = ["BallTree", "ctree_search"]
 
 _LEAF = 32
@@ -23,7 +25,8 @@ class BallTree:
     __slots__ = ("X", "idx", "center", "radius", "left", "right")
 
     def __init__(self, X: np.ndarray, idx: np.ndarray | None = None) -> None:
-        if idx is None:
+        if idx is None:  # the root: check the input once
+            check_unit_rows("X", X)
             idx = np.arange(len(X))
         self.X = X
         self.idx = idx
@@ -77,6 +80,7 @@ def ctree_search(
 
     Returns (joinable column set, number of distance computations).
     """
+    check_unit_rows("Q", Q)
     counts = np.zeros(n_cols, dtype=np.int64)
     joinable: set[int] = set()
     counter = [0]

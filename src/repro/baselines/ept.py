@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pivots import lemma1_filter_mask, pivot_map, select_pivots
+from repro.core.pexeso import check_unit_rows
+from repro.core.pivots import pivot_map, select_pivots
+from repro.core.regions import lemma1_survives
 
 __all__ = ["PivotTable", "ept_search"]
 
@@ -27,6 +29,7 @@ class PivotTable:
     """Pre-computed pivot distances for all target vectors."""
 
     def __init__(self, X: np.ndarray, *, n_pivots: int = 5, seed: int = 0) -> None:
+        check_unit_rows("X", X)
         self.X = X
         self.pivots = select_pivots(X, n_pivots, seed=seed)
         self.Xp = pivot_map(X, self.pivots)
@@ -46,6 +49,7 @@ def ept_search(
     vectors, exact-distance the survivors, count one match per
     (q, column); columns that reach T are skipped thereafter.
     """
+    check_unit_rows("Q", Q)
     counts = np.zeros(n_cols, dtype=np.int64)
     joinable: set[int] = set()
     n_dist = 0
@@ -58,7 +62,7 @@ def ept_search(
         for col, rows in col_rows.items():
             if col in joinable:
                 continue  # early termination
-            sub = rows[lemma1_filter_mask(table.Xp[rows], qp, tau)]
+            sub = rows[np.all(lemma1_survives(table.Xp[rows], qp, tau), axis=1)]
             if len(sub) == 0:
                 continue
             d = np.linalg.norm(table.X[sub] - q, axis=1)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pexeso import check_unit_rows
+
 __all__ = ["kmeans", "PQIndex", "pq_search", "calibrate_radius_scale"]
 
 
@@ -53,6 +55,7 @@ class PQIndex:
         n_codes: int = 32,
         seed: int = 0,
     ) -> None:
+        check_unit_rows("X", X)
         dim = X.shape[1]
         if dim % n_subspaces != 0:
             raise ValueError(f"dim {dim} not divisible by {n_subspaces} subspaces")
@@ -145,6 +148,7 @@ def pq_search(
     scale: float = 1.0,
 ) -> set[int]:
     """PQ workflow: approximate range query per query vector."""
+    check_unit_rows("Q", Q)
     counts = np.zeros(n_cols, dtype=np.int64)
     joinable: set[int] = set()
     for q in Q:

@@ -28,20 +28,15 @@ __all__ = ["BlockResult", "block"]
 
 
 class BlockResult:
-    """(query vector, target leaf) pairs in CSR form by query vector.
+    """(query vector, target leaf) pairs as arrays stably sorted by query vector.
 
-    The pairs of query vector ``q`` are ``leaf[q_start[q]:q_start[q+1]]``;
-    ``matched`` flags matching pairs, the rest are candidate pairs.
+    Pair ``k`` is ⟨``q[k]``, ``leaf[k]``⟩; ``matched`` flags matching
+    pairs, the rest are candidate pairs.
     """
 
-    def __init__(self, q: np.ndarray, leaf: np.ndarray, matched: np.ndarray,
-                 n_q: int) -> None:
+    def __init__(self, q: np.ndarray, leaf: np.ndarray, matched: np.ndarray) -> None:
         order = np.argsort(q, kind="stable")
-        self.leaf, self.matched = leaf[order], matched[order]
-        self.q_start = np.searchsorted(q[order], np.arange(n_q + 1))
-
-    def query_of_pair(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.q_start) - 1), np.diff(self.q_start))
+        self.q, self.leaf, self.matched = q[order], leaf[order], matched[order]
 
     def n_candidates(self) -> int:
         return int(np.count_nonzero(~self.matched))
@@ -111,5 +106,4 @@ def block(
     qs.append(q[keep])
     leaves.append(cs[keep])
     flags.append(matched[keep])
-    return BlockResult(np.concatenate(qs), np.concatenate(leaves),
-                       np.concatenate(flags), hg_q.n)
+    return BlockResult(np.concatenate(qs), np.concatenate(leaves), np.concatenate(flags))

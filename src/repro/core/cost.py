@@ -65,7 +65,7 @@ def expected_cost(
     # One N_max term per query vector with a candidate pair: its candidate
     # cells are exactly the leaf cells its SQR touches, so the widened
     # marginal bound already covers all of them together.
-    qs = np.unique(blocks.query_of_pair()[~blocks.matched])
+    qs = np.unique(blocks.q[~blocks.matched])
     e = sum(n_max_sqr(sorted_dims, Qp[qi], tau, slack) for qi in qs)
     return e + alpha * blocks.n_candidates()
 

@@ -7,9 +7,11 @@ non-empty cells are materialized. The parent of a cell halves each
 integer coordinate.
 
 ``HierarchicalGrid`` sorts the vectors once, in Z-order (coarsest level
-first), so every cell at every level is one contiguous run of ``order``.
-Per level it stores the CSR ``starts`` of those runs and each cell's
-integer ``coords`` (column-major: one contiguous run per pivot). A cell
+first, stable), so every cell at every level is one contiguous run of
+``order``; the repository's inverted index stores its rows in this
+order too (``InvertedIndex.perm is order``). Per level it stores the
+CSR ``starts`` of those runs and each cell's integer ``coords``
+(column-major: one contiguous run per pivot). A cell
 is an integer index into its level; since the runs of level ``l`` are
 unions of runs of level ``l+1``, a cell's children (and its descendants
 at any deeper level) are one ``searchsorted`` range.
@@ -91,13 +93,6 @@ class HierarchicalGrid:
         s = self.starts[level]
         owner, pos = expand_ranges(s[cells], s[cells + 1])
         return owner, self.order[pos]
-
-    def leaf_of_vector(self) -> np.ndarray:
-        """Leaf-cell index of every row, shape (n,)."""
-        out = np.empty(self.n, dtype=np.int64)
-        out[self.order] = np.repeat(np.arange(self.n_level(self.m)),
-                                    np.diff(self.starts[self.m]))
-        return out
 
     def n_cells(self) -> int:
         """Total number of materialized cells across all levels."""

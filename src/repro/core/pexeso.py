@@ -95,8 +95,6 @@ class PexesoIndex:
         Xp = pivot_map(X, self.pivots)
         self.grid = HierarchicalGrid(Xp, m)
         self.index = InvertedIndex(self.grid, col.astype(np.int64, copy=False), Xp, x2)
-        # Search reads only the grid's cells; rows are in the inverted index.
-        del self.grid.order
 
     # -- online ----------------------------------------------------------
     def search(

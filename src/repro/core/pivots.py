@@ -1,8 +1,8 @@
 """Pivot selection and pivot mapping (§III-A, §III-D).
 
 Pivot mapping sends a vector ``x`` to ``x' = [d(p_1,x), …, d(p_n,x)]``
-for a pivot set ``P``. Lemmas 1 and 2 (triangle inequality) then filter
-and match vectors using only pivot-space coordinates.
+for a pivot set ``P``. The lemmas of ``regions`` (triangle inequality)
+then filter and match vectors using only pivot-space coordinates.
 
 Pivot selection follows the PCA-based method of Mao et al. [20] the
 paper adopts for its O(|S_V|) cost: good pivots are outliers, and the
@@ -13,10 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "select_pivots", "pivot_map", "lemma1_survives", "lemma2_matches",
-    "lemma1_filter_mask",
-]
+__all__ = ["select_pivots", "pivot_map"]
 
 
 def select_pivots(
@@ -63,26 +60,3 @@ def pivot_map(X: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     d2 = x2 + p2 - 2.0 * (X @ pivots.T)
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2)
-
-
-def lemma1_survives(xp: np.ndarray, qp: np.ndarray, tau: float) -> np.ndarray:
-    """Lemma 1 on pivot coordinates, elementwise: |x'[j] - q'[j]| <= τ.
-
-    A row that fails on any pivot lies outside the square query region
-    SQR(q', τ) and provably does not match.
-    """
-    return np.abs(xp - qp) <= tau
-
-
-def lemma2_matches(xp: np.ndarray, qp: np.ndarray, tau: float) -> np.ndarray:
-    """Lemma 2 on pivot coordinates, elementwise: x'[j] + q'[j] <= τ.
-
-    A row that holds on any one pivot j lies in the rectangle query region
-    RQR(q', p_j, τ) and is guaranteed to match.
-    """
-    return xp + qp <= tau
-
-
-def lemma1_filter_mask(Xp: np.ndarray, qp: np.ndarray, tau: float) -> np.ndarray:
-    """Boolean mask of rows of ``Xp`` (n, |P|) that survive Lemma 1."""
-    return np.all(lemma1_survives(Xp, qp, tau), axis=1)

@@ -1,4 +1,4 @@
-"""Query-region geometry: Lemmas 3–6 as one-pivot tests (§III-B).
+"""Query-region geometry: Lemmas 1–6 as one-pivot tests (§III-A, §III-B).
 
 All tests compare axis-aligned boxes in the pivot space:
 
@@ -6,6 +6,7 @@ All tests compare axis-aligned boxes in the pivot space:
 - ``RQR(q', p_j, τ)`` is the box ``[0, τ - q'[j]]`` in dimension j and
   unbounded elsewhere (Lemma 2 region; absent when ``τ - q'[j] < 0``).
 
+Lemmas 1 and 2 test one mapped vector ``x'`` against these regions.
 For a *query cell* ``c_q`` the square region is widened to
 ``SQR(c_q.center, τ + c_q.length/2)``, exactly the box
 ``[q_lo - τ, q_up + τ]``; for matching, the minimum RQR over all query
@@ -15,15 +16,34 @@ sufficient condition) and needs no per-vector scan. A query vector is the
 point cell ``q_lo = q_up = q'``, so one test serves Lemmas 3 and 4, and
 one Lemmas 5 and 6.
 
-Both tests take one pivot's coordinates, elementwise over any batch; a
-pair is filtered (matched) if the test holds on *any* pivot. Blocking ORs
-them pivot by pivot over contiguous column-major coordinates.
+Every test takes one pivot's coordinates, elementwise over any batch; a
+vector or pair is filtered (matched) if the test fails (holds) on *any*
+pivot. Blocking and verification combine them pivot by pivot over
+contiguous column-major coordinates.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["filtered_on_pivot", "matched_on_pivot"]
+__all__ = ["lemma1_survives", "lemma2_matches", "filtered_on_pivot", "matched_on_pivot"]
+
+
+def lemma1_survives(xp: np.ndarray, qp: np.ndarray, tau: float) -> np.ndarray:
+    """Lemma 1 on pivot coordinates, elementwise: |x'[j] - q'[j]| <= τ.
+
+    A row that fails on any pivot lies outside the square query region
+    SQR(q', τ) and provably does not match.
+    """
+    return np.abs(xp - qp) <= tau
+
+
+def lemma2_matches(xp: np.ndarray, qp: np.ndarray, tau: float) -> np.ndarray:
+    """Lemma 2 on pivot coordinates, elementwise: x'[j] + q'[j] <= τ.
+
+    A row that holds on any one pivot j lies in the rectangle query region
+    RQR(q', p_j, τ) and is guaranteed to match.
+    """
+    return xp + qp <= tau
 
 
 def filtered_on_pivot(lo: np.ndarray, up: np.ndarray, q_lo: np.ndarray,

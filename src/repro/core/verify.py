@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.block import BlockResult
 from repro.core.grid import expand_ranges
 from repro.core.inverted import InvertedIndex
-from repro.core.pivots import lemma1_survives, lemma2_matches
+from repro.core.regions import lemma1_survives, lemma2_matches
 
 __all__ = ["verify"]
 
@@ -50,7 +50,7 @@ def verify(
     n_q = len(Q)
     ls = index.leaf_start
     own, r = expand_ranges(ls[blocks.leaf], ls[blocks.leaf + 1])
-    rq = blocks.query_of_pair()[own]
+    rq = blocks.q[own]
     key = rq * n_cols + index.col[r]
     sure = blocks.matched[own]
     kept = ~sure

@@ -24,6 +24,7 @@ distance is 2 and thresholds can be expressed as a percentage of it.
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,55 +41,33 @@ def _ngrams(token: str, n: int) -> list[str]:
     return [padded[i : i + n] for i in range(len(padded) - n + 1)]
 
 
+@lru_cache(maxsize=None)  # the ngram universe is small in practice
 def _ngram_vector(ngram: str, dim: int) -> np.ndarray:
-    """Deterministic pseudo-random unit-variance vector for one ngram.
+    """Deterministic pseudo-random unit-variance vector for one ngram,
+    read-only because every caller shares it.
 
     The ngram's CRC32 seeds a Generator, so the mapping is stable across
     processes and sessions (no PYTHONHASHSEED dependence).
     """
     seed = zlib.crc32(ngram.encode("utf-8"))
-    g = np.random.default_rng(seed)
-    return g.standard_normal(dim)
-
-
-class _NgramCache:
-    """Memoizes ngram → vector; the ngram universe is small in practice."""
-
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
-        self._cache: dict[str, np.ndarray] = {}
-
-    def get(self, ngram: str) -> np.ndarray:
-        v = self._cache.get(ngram)
-        if v is None:
-            v = _ngram_vector(ngram, self.dim)
-            self._cache[ngram] = v
-        return v
-
-
-_CACHES: dict[int, _NgramCache] = {}
-
-
-def _cache(dim: int) -> _NgramCache:
-    if dim not in _CACHES:
-        _CACHES[dim] = _NgramCache(dim)
-    return _CACHES[dim]
+    v = np.random.default_rng(seed).standard_normal(dim)
+    v.flags.writeable = False
+    return v
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(v)
     if norm == 0.0:
         # Empty string: a fixed deterministic direction.
-        v = _ngram_vector("<EMPTY>", v.shape[0]).copy()
+        v = _ngram_vector("<EMPTY>", v.shape[0])
         norm = np.linalg.norm(v)
     return v / norm
 
 
 def _string_vector(s: str, dim: int, n: int) -> np.ndarray:
-    c = _cache(dim)
     acc = np.zeros(dim)
     for gram in _ngrams(s, n):
-        acc += c.get(gram)
+        acc += _ngram_vector(gram, dim)
     return acc
 
 

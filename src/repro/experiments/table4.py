@@ -102,7 +102,7 @@ def _sweep_string_method(
         hits = sim_pdf[sim_pdf["sim"] >= theta]
         counts = hits.groupby("col_id")["q_id"].nunique()
         for T in T_SWEEP:
-            retrieved = set(counts[counts >= np.ceil(T * n_q)].index)
+            retrieved = set(counts[counts >= t_abs(T, n_q)].index)
             out[(theta, T)] = _pr(retrieved, truth, seconds)
     return out
 
@@ -136,7 +136,7 @@ def run_table4(spark: SparkSession, *, seeds=SEEDS) -> dict[str, dict[str, PR]]:
             counts, eq_s = timed(_equi_counts, spark, lake.query, lake_df)
             eq = {}
             for T in T_SWEEP:
-                retrieved = set(counts[counts >= np.ceil(T * n_q)].index)
+                retrieved = set(counts[counts >= t_abs(T, n_q)].index)
                 eq[(None, T)] = _pr(retrieved, truth, eq_s)
             curves.setdefault("equi-join", []).append(eq)
 

@@ -22,6 +22,7 @@ import pickle
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -98,6 +99,35 @@ def _check_agree(answers: dict[str, set], T: float, pct: float) -> None:
         )
 
 
+def _search_grid(
+    dataset: str, Q: np.ndarray, parts: list[tuple], methods, t_grid, tau_grid
+) -> list[EffRow]:
+    """Time every method over the T × τ grid on ``parts``, a list of
+    ``(column ids, load)``: ``load()`` returns the partition's ``_Indexes``
+    inside the timer, and the partitions' joinable sets are merged.
+
+    Raises ``AssertionError`` if the methods' merged joinable sets differ.
+    """
+    rows: list[EffRow] = []
+    for T in t_grid:
+        Ta = t_abs(T, len(Q))
+        for pct in tau_grid:
+            tau = pct * MAX_DISTANCE
+            answers = {}
+            for method in methods:
+                t0 = time.perf_counter()
+                joinable, n_dist = set(), 0
+                for cols, load in parts:  # one partition in memory at a time
+                    hit, n = load().search(method, Q, tau, Ta, T)
+                    joinable |= {cols[i] for i in hit}
+                    n_dist += n
+                dt = time.perf_counter() - t0
+                answers[method] = joinable
+                rows.append(EffRow(dataset, T, pct, method, dt, n_dist))
+            _check_agree(answers, T, pct)
+    return rows
+
+
 def run_inmemory(
     *,
     datasets=("open", "swdc"),
@@ -114,31 +144,24 @@ def run_inmemory(
     for kind in datasets:
         Q, X, col, uniq = lake_arrays(kind, seed)
         indexes = _Indexes.build(X, col, len(uniq))
-        for T in t_grid:
-            Ta = t_abs(T, len(Q))
-            for pct in tau_grid:
-                tau = pct * MAX_DISTANCE
-                answers = {}
-                for method in methods:
-                    t0 = time.perf_counter()
-                    joinable, n_dist = indexes.search(method, Q, tau, Ta, T)
-                    dt = time.perf_counter() - t0
-                    answers[method] = joinable
-                    rows.append(
-                        EffRow(kind.upper() + "-lite", T, pct, method, dt, n_dist)
-                    )
-                _check_agree(answers, T, pct)
+        parts = [(range(len(uniq)), lambda: indexes)]
+        rows += _search_grid(kind.upper() + "-lite", Q, parts, methods, t_grid, tau_grid)
     return rows
 
 
 # ---------------- out-of-core (LWDC-lite) ----------------
-def _build_partition_indexes(tmpdir: str, seed: int = 0) -> list[dict]:
+def _load(path: str) -> _Indexes:
+    with open(path, "rb") as f:
+        return pickle.load(f)
+
+
+def _build_partition_indexes(tmpdir: str, seed: int = 0) -> list[tuple]:
     """Partition LWDC-lite by JSD clustering; pickle every method's index
-    per partition to disk. Returns partition manifests."""
+    per partition to disk. Returns ``(column ids, load)`` per partition."""
     lake = lite_lake("lwdc", seed)
     col_vecs = lake.column_matrices()
     assign = jsd_kmeans(col_vecs, N_PARTS, seed=seed)
-    manifests = []
+    parts = []
     for part in range(N_PARTS):
         cols = sorted(c for c, p in assign.items() if p == part)
         if not cols:
@@ -150,8 +173,8 @@ def _build_partition_indexes(tmpdir: str, seed: int = 0) -> list[dict]:
         path = os.path.join(tmpdir, f"part{part}.pkl")
         with open(path, "wb") as f:
             pickle.dump(_Indexes.build(X, col_of, len(cols)), f)
-        manifests.append({"part": part, "path": path, "cols": cols})
-    return manifests
+        parts.append((cols, partial(_load, path)))
+    return parts
 
 
 def run_outofcore(
@@ -165,31 +188,10 @@ def run_outofcore(
 
     Raises ``AssertionError`` if the methods' merged joinable sets differ.
     """
-    lake = lite_lake("lwdc", seed)
-    Q = lake.query_vectors
-    rows: list[EffRow] = []
+    Q = lite_lake("lwdc", seed).query_vectors
     with tempfile.TemporaryDirectory() as tmpdir:
-        manifests = _build_partition_indexes(tmpdir, seed)
-        for T in t_grid:
-            Ta = t_abs(T, len(Q))
-            for pct in tau_grid:
-                tau = pct * MAX_DISTANCE
-                answers = {}
-                for method in methods:
-                    t0 = time.perf_counter()
-                    joinable: set[str] = set()
-                    n_dist = 0
-                    for mf in manifests:  # one partition in memory at a time
-                        with open(mf["path"], "rb") as f:
-                            indexes = pickle.load(f)
-                        hit, n = indexes.search(method, Q, tau, Ta, T)
-                        joinable |= {mf["cols"][i] for i in hit}
-                        n_dist += n
-                    dt = time.perf_counter() - t0
-                    answers[method] = joinable
-                    rows.append(EffRow("LWDC-lite", T, pct, method, dt, n_dist))
-                _check_agree(answers, T, pct)
-    return rows
+        parts = _build_partition_indexes(tmpdir, seed)
+        return _search_grid("LWDC-lite", Q, parts, methods, t_grid, tau_grid)
 
 
 def format_table7(rows: list[EffRow]) -> str:

@@ -60,6 +60,47 @@ def test_ept_fewer_distances_than_scan(repo):
     assert n_dist < len(Q) * len(X)
 
 
+# ---------- input outside the paper's assumptions ----------
+#: name → (build over X, search with Q at τ = 0.4, T_abs = 3)
+_METRIC_BASELINES = {
+    "ctree": (BallTree, lambda ix, col, n, Q: ctree_search(ix, col, n, Q, 0.4, 3)),
+    "ept": (lambda X: PivotTable(X, n_pivots=4),
+            lambda ix, col, n, Q: ept_search(ix, col, n, Q, 0.4, 3)),
+    "pq": (lambda X: PQIndex(X, n_subspaces=4, n_codes=8),
+           lambda ix, col, n, Q: pq_search(ix, col, n, Q, 0.4, 3)),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_METRIC_BASELINES))
+@pytest.mark.parametrize("bad", ["nan", "non_unit"])
+def test_baselines_reject_bad_query(repo, method, bad):
+    """A NaN row never matches, and a non-unit row leaves the unit sphere
+    the lake lives on: either would be answered silently wrong."""
+    Q, X, col, n_cols = repo
+    build, search = _METRIC_BASELINES[method]
+    index = build(X)
+    Q = Q.copy()
+    if bad == "nan":
+        Q[0, 0] = np.nan
+    else:
+        Q *= 2.0
+    with pytest.raises(ValueError, match="finite and unit-norm"):
+        search(index, col, n_cols, Q)
+
+
+@pytest.mark.parametrize("method", sorted(_METRIC_BASELINES))
+@pytest.mark.parametrize("bad", ["nan", "non_unit"])
+def test_baselines_reject_bad_repository(repo, method, bad):
+    Q, X, col, n_cols = repo
+    X = X.copy()
+    if bad == "nan":
+        X[5, 0] = np.nan
+    else:
+        X[5] *= 3.0
+    with pytest.raises(ValueError, match="finite and unit-norm"):
+        _METRIC_BASELINES[method][0](X)
+
+
 # ---------- PQ ----------
 def test_kmeans_shapes():
     X = unit_rows(200, 8)

@@ -16,7 +16,7 @@ def _setup(tau_seed=0, n_pivots=3, m=3):
 
 
 def _pairs(r: BlockResult) -> set[tuple[int, int, bool]]:
-    return set(zip(r.query_of_pair().tolist(), r.leaf.tolist(), r.matched.tolist()))
+    return set(zip(r.q.tolist(), r.leaf.tolist(), r.matched.tolist()))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -26,10 +26,12 @@ def test_blocking_complete(m, tau):
     Q, X, Qp, Xp = _setup(m=m)
     hg_q, hg_s = HierarchicalGrid(Qp, m), HierarchicalGrid(Xp, m)
     res = block(hg_q, hg_s, Qp, tau)
-    leaf_of = hg_s.leaf_of_vector()
+    leaf, rows = hg_s.rows(m, np.arange(hg_s.n_level(m)))
+    leaf_of = np.empty(len(X), dtype=np.int64)
+    leaf_of[rows] = leaf
     d = np.linalg.norm(Q[:, None, :] - X[None, :, :], axis=2)
     for qi, xi in zip(*np.where(d <= tau)):
-        cells = res.leaf[res.q_start[qi]:res.q_start[qi + 1]]
+        cells = res.leaf[res.q == qi]
         assert leaf_of[xi] in cells, (qi, xi)
 
 
@@ -66,7 +68,8 @@ def test_quick_browse_emits_shared_leaves():
     pairs = _pairs(res)
     target_leaf = {tuple(c): i for i, c in enumerate(hg_s.coords[m].tolist())}
     shared = 0
-    for qi, c in enumerate(hg_q.coords[m][hg_q.leaf_of_vector()].tolist()):
+    leaf, rows = hg_q.rows(m, np.arange(hg_q.n_level(m)))
+    for qi, c in zip(rows.tolist(), hg_q.coords[m][leaf].tolist()):
         if tuple(c) in target_leaf:
             assert (qi, target_leaf[tuple(c)], False) in pairs
             shared += 1
@@ -103,7 +106,8 @@ def test_pairs_unique_and_grouped():
     Q, X, Qp, Xp = _setup()
     hg_q, hg_s = HierarchicalGrid(Qp, 3), HierarchicalGrid(Xp, 3)
     res = block(hg_q, hg_s, Qp, 0.8)
-    q = res.query_of_pair()
+    q = res.q
     assert len(set(zip(q.tolist(), res.leaf.tolist()))) == len(q)
-    assert res.q_start[0] == 0 and res.q_start[-1] == len(q)
+    assert len(q) == len(res.leaf) == len(res.matched)
+    assert q.min() >= 0 and q.max() < len(Q)
     assert np.all(np.diff(q) >= 0)

@@ -24,7 +24,6 @@ def test_every_vector_in_exactly_one_leaf(m):
     hg = HierarchicalGrid(Xp, m)
     leaf, rows = hg.rows(m, np.arange(hg.n_level(m)))
     assert np.all(np.bincount(rows, minlength=len(Xp)) == 1)
-    assert np.array_equal(hg.leaf_of_vector()[rows], leaf)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
@@ -100,7 +99,8 @@ def test_nine_pivots_eight_levels():
     """|P|·m = 72 bits of cell address: more than one int64 key holds."""
     Xp = _mapped(n=300, n_pivots=9)
     hg = HierarchicalGrid(Xp, 8)
-    assert np.array_equal(hg.coords[8][hg.leaf_of_vector()], leaf_coords(Xp, 8))
+    leaf, rows = hg.rows(8, np.arange(hg.n_level(8)))
+    assert np.array_equal(hg.coords[8][leaf], leaf_coords(Xp, 8)[rows])
 
 
 def test_expand_ranges():

@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pivots import (
-    lemma1_filter_mask,
-    lemma2_matches,
-    pivot_map,
-    select_pivots,
-)
+from repro.core.pivots import pivot_map, select_pivots
+from repro.core.regions import lemma1_survives, lemma2_matches
 from tests.conftest import time_limit, unit_rows
 
 
@@ -74,7 +70,7 @@ def test_lemma1_never_drops_true_match(seed, tau):
     P = select_pivots(X, 3, seed=seed % 100)
     Xp, qp = pivot_map(X, P), pivot_map(q[None], P)[0]
     d = np.linalg.norm(X - q, axis=1)
-    survive = lemma1_filter_mask(Xp, qp, tau)
+    survive = np.all(lemma1_survives(Xp, qp, tau), axis=1)
     assert np.all(survive[d <= tau])
 
 
@@ -100,5 +96,5 @@ def test_filter_actually_prunes():
     q = unit_rows(1, 16, seed=99)[0]
     P = select_pivots(X, 5)
     Xp, qp = pivot_map(X, P), pivot_map(q[None], P)[0]
-    survive = lemma1_filter_mask(Xp, qp, 0.1)
+    survive = np.all(lemma1_survives(Xp, qp, 0.1), axis=1)
     assert survive.sum() < len(X) * 0.5

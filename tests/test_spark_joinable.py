@@ -175,6 +175,15 @@ def test_other_repository_never_served_stale_index(repo_parts, tiny_lake):
     assert _search_cols(repo_parts, tiny_lake, 0.4, 0.4) == _exact_cols(tiny_lake, 0.4, 0.4)
 
 
+def test_one_partition_equals_scan(spark, tiny_lake):
+    """A partitioner may put every column in one partition."""
+    one = assign_partitions(lake_to_spark(spark, tiny_lake), 4,
+                            partitioner=lambda samples, k: dict.fromkeys(samples, 0))
+    assert [r["part_id"] for r in one.select("part_id").distinct().collect()] == [0]
+    for tau, T in ((0.3, 0.3), (0.5, 0.5)):
+        assert _search_cols(one, tiny_lake, tau, T) == _exact_cols(tiny_lake, tau, T)
+
+
 def test_pexeso_h_on_built_index(repo_parts, tiny_lake):
     _search_cols(repo_parts, tiny_lake, 0.5, 0.3)
     built = partition_indexes(repo_parts, m=3)

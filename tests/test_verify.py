@@ -193,6 +193,20 @@ def test_rejects_bad_column_labels(bad):
         PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
 
 
+@pytest.mark.parametrize("use_inverted", [True, False])
+def test_empty_columns_exact(use_inverted):
+    """Labels need not cover [0, n_cols): a column with no rows gets no
+    matches, and the others are answered as without it."""
+    Q, X, col, n_cols = planted_repo(seed=13)
+    col, n_cols = 2 * col + 1, 2 * n_cols + 3  # even labels and the last three are empty
+    idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3, seed=13)
+    for tau in (0.2, 0.6):
+        truth = exact_scan.joinable_columns(Q, X, col, n_cols, tau, t_abs(0.3, len(Q)))
+        assert idx.search(Q, tau, 0.3, use_inverted=use_inverted).joinable == truth
+        full = idx.search(Q, tau, 0.3, use_inverted=use_inverted, early_terminate=False)
+        assert np.array_equal(full.match_counts, exact_scan.match_counts(Q, X, col, n_cols, tau))
+
+
 def test_accepts_narrow_integer_labels():
     Q, X, col, n_cols = planted_repo(seed=12)
     a = PexesoIndex(X, col, n_cols, n_pivots=3, m=3).search(Q, 0.4, 0.5)
@@ -220,11 +234,11 @@ def test_row_order_independent_of_column_order(seed, use_inverted):
 
 
 def test_index_keeps_one_row_order():
-    """The inverted index's ``perm`` is the index's only row order: the
-    repository grid drops its own, and search still equals the scan."""
+    """The index holds one row order, in one array: the inverted index's
+    ``perm`` is the repository grid's sort, and search still equals the scan."""
     Q, X, col, n_cols = planted_repo(seed=1)
     idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
-    assert not hasattr(idx.grid, "order")
+    assert idx.index.perm is idx.grid.order
     assert idx.search(Q, 0.4, 0.5).joinable == exact_scan.joinable_columns(
         Q, X, col, n_cols, 0.4, t_abs(0.5, len(Q))
     )
