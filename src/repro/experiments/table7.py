@@ -37,6 +37,7 @@ from repro.experiments.common import (
 )
 from repro.embedding.hashing import MAX_DISTANCE
 from repro.partition.cluster import jsd_kmeans
+from repro.partition.histogram import histograms
 
 __all__ = ["run_inmemory", "run_outofcore", "format_table7", "METHODS", "PAPER_RANGES"]
 
@@ -160,7 +161,7 @@ def _build_partition_indexes(tmpdir: str, seed: int = 0) -> list[tuple]:
     per partition to disk. Returns ``(column ids, load)`` per partition."""
     lake = lite_lake("lwdc", seed)
     col_vecs = lake.column_matrices()
-    assign = jsd_kmeans(col_vecs, N_PARTS, seed=seed)
+    assign = jsd_kmeans(dict(zip(*histograms(col_vecs))), N_PARTS, seed=seed)
     parts = []
     for part in range(N_PARTS):
         cols = sorted(c for c, p in assign.items() if p == part)

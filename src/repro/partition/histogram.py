@@ -8,12 +8,17 @@ number of random directions (deterministic seed), histogram each
 projection over equal-width bins of [-1, 1], and concatenate the
 per-direction histograms. Columns with similar vector distributions
 produce similar histograms, which is all §IV's clustering needs.
+
+The histogram is two steps. :func:`bin_counts` counts any batch of rows
+into per-column bins; the counts are additive, so batches holding parts
+of a column (Spark's executors, see ``spark.joinable``) are summed
+before :func:`normalize` turns counts into probabilities.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["column_histogram", "histograms"]
+__all__ = ["bin_counts", "column_histogram", "histograms", "normalize"]
 
 _EPS = 1e-9
 
@@ -22,6 +27,41 @@ def _directions(dim: int, k: int, seed: int = 123) -> np.ndarray:
     g = np.random.default_rng(seed)
     D = g.standard_normal((k, dim))
     return D / np.linalg.norm(D, axis=1, keepdims=True)
+
+
+def bin_counts(
+    X: np.ndarray,
+    owner: np.ndarray,
+    n_cols: int,
+    *,
+    n_dirs: int = 4,
+    n_bins: int = 8,
+    seed: int = 123,
+) -> np.ndarray:
+    """Raw bin counts, (n_cols, n_dirs·n_bins) ``int64``, of the rows of
+    ``X``, row ``i`` counted for column ``owner[i]`` in ``[0, n_cols)``.
+
+    The bins are ``np.histogram``'s over ``[-1, 1]``: left-closed, the
+    last one also right-closed, and projections outside the range are
+    dropped. A row's projection can differ in the last bit with the
+    batch it is projected in (one row is a matrix-vector product), which
+    moves a count only for a projection that close to a bin edge.
+    """
+    # Unit vectors → proj in [-1, 1].
+    proj = X @ _directions(X.shape[1], n_dirs, seed).T
+    edges = np.linspace(-1.0, 1.0, n_bins + 1)
+    inside = (proj >= -1.0) & (proj <= 1.0)
+    bins = np.minimum(np.searchsorted(edges, proj, side="right") - 1, n_bins - 1)
+    slot = (owner[:, None] * n_dirs + np.arange(n_dirs)) * n_bins + bins
+    counts = np.bincount(slot[inside], minlength=n_cols * n_dirs * n_bins)
+    return counts.reshape(n_cols, n_dirs * n_bins)
+
+
+def normalize(counts: np.ndarray) -> np.ndarray:
+    """Probability histograms (rows sum to 1) from summed bin counts."""
+    H = counts.astype(np.float64)
+    H += _EPS  # avoid zero bins (KLD needs full support)
+    return H / H.sum(axis=1, keepdims=True)
 
 
 def column_histogram(
@@ -38,24 +78,12 @@ def histograms(
     n_bins: int = 8,
     seed: int = 123,
 ) -> tuple[list[str], np.ndarray]:
-    """Histogram matrix for a set of columns: (ids, (n_cols, bins)).
-
-    All columns are binned in one pass. The bins are ``np.histogram``'s
-    over ``[-1, 1]``: left-closed, the last one also right-closed, and
-    projections outside the range are dropped.
-    """
+    """Histogram matrix for a set of columns: (ids, (n_cols, bins)), ids
+    sorted. All columns are binned in one pass."""
     ids = sorted(column_vectors)
     cols = [column_vectors[c] for c in ids]
-    D = _directions(cols[0].shape[1], n_dirs, seed)
-    # Projected column by column, so a column's values do not depend on
-    # the other columns; unit vectors → proj in [-1, 1].
-    proj = np.vstack([V @ D.T for V in cols])
-    edges = np.linspace(-1.0, 1.0, n_bins + 1)
-    inside = (proj >= -1.0) & (proj <= 1.0)
-    bins = np.minimum(np.searchsorted(edges, proj, side="right") - 1, n_bins - 1)
-    owner = np.repeat(np.arange(len(ids)), [len(V) for V in cols])[:, None]
-    slot = (owner * n_dirs + np.arange(n_dirs)) * n_bins + bins
-    counts = np.bincount(slot[inside], minlength=len(ids) * n_dirs * n_bins)
-    H = counts.reshape(len(ids), n_dirs * n_bins).astype(np.float64)
-    H += _EPS  # avoid zero bins (KLD needs full support)
-    return ids, H / H.sum(axis=1, keepdims=True)
+    owner = np.repeat(np.arange(len(ids)), [len(V) for V in cols])
+    counts = bin_counts(
+        np.vstack(cols), owner, len(ids), n_dirs=n_dirs, n_bins=n_bins, seed=seed
+    )
+    return ids, normalize(counts)

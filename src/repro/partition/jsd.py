@@ -19,9 +19,17 @@ def jsd(a: np.ndarray, b: np.ndarray) -> float:
     return (kld(a, b) + kld(b, a)) / 2.0
 
 
-def jsd_matrix(H: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n_hist, n_centers) JSD distances, vectorized over both axes."""
-    # sum_x h log(h/c) + c log(c/h), broadcast (n, 1, bins) vs (1, k, bins)
-    h = H[:, None, :]
-    c = centers[None, :, :]
-    return 0.5 * (np.sum(h * np.log(h / c), axis=2) + np.sum(c * np.log(c / h), axis=2))
+def jsd_matrix(
+    H: np.ndarray, centers: np.ndarray, log_H: np.ndarray | None = None
+) -> np.ndarray:
+    """(n_hist, n_centers) JSD distances as two matrix products.
+
+    Expanding both KLDs, JSD(h ‖ c) = ½(Σ h·log h − h·log c − log h·c +
+    Σ c·log c). ``log_H`` is ``np.log(H)`` for a caller that compares the
+    same ``H`` with many sets of centers.
+    """
+    log_H = np.log(H) if log_H is None else log_H
+    log_C = np.log(centers)
+    h_log_h = np.einsum("ij,ij->i", H, log_H)
+    c_log_c = np.einsum("ij,ij->i", centers, log_C)
+    return 0.5 * (h_log_h[:, None] - H @ log_C.T - log_H @ centers.T + c_log_c)

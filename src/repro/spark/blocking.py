@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
@@ -33,7 +34,7 @@ from repro.baselines.equi import joinability
 from repro.core.grid import expand_ranges, leaf_coords
 from repro.core.pexeso import check_unit_rows
 from repro.core.pivots import pivot_map
-from repro.spark.worker import install_stat_checked_zip_invalidation
+from repro.spark.worker import install_stat_checked_zip_invalidation, vector_rows
 
 __all__ = ["build_blocked_repo", "matching_pairs", "blocked_joinability"]
 
@@ -52,21 +53,27 @@ _QUERY_SCHEMA = "q_id long, qvec array<double>, qp array<double>, cell long"
 def build_blocked_repo(repo: DataFrame, pivots: np.ndarray) -> DataFrame:
     """Add pivot coordinates ``xp`` and blocking key ``cell`` to the repo.
 
-    The per-row computation is a vectorized Arrow batch (mapInPandas):
+    The per-row computation runs on whole Arrow batches (``mapInArrow``):
     pivot mapping is a dense matrix product, unnatural as a scalar SQL
-    expression but a one-liner over Arrow batches.
+    expression but one product over a batch's ``vec`` buffer, read
+    without pandas rows. A null ``vec``, or one whose length is not the
+    pivots' dimension, raises ``ValueError``.
     """
     b = min(KEY_DIMS, len(pivots))
     piv = pivots.copy()
 
     def add_cols(batches):
         install_stat_checked_zip_invalidation()
-        for pdf in batches:
-            Xp = pivot_map(np.vstack(pdf["vec"].to_numpy()), piv)
-            out = pdf.copy()
-            out["xp"] = list(Xp)
-            out["cell"] = leaf_coords(Xp[:, :b], KEY_LEVEL) @ _KEY_WEIGHT[:b]
-            yield out
+        for batch in batches:
+            Xp = pivot_map(vector_rows(batch.column("vec"), piv.shape[1]), piv)
+            offsets = np.arange(0, Xp.size + 1, Xp.shape[1], dtype=np.int32)
+            yield pa.RecordBatch.from_arrays(
+                batch.columns + [
+                    pa.ListArray.from_arrays(offsets, Xp.ravel()),
+                    pa.array(leaf_coords(Xp[:, :b], KEY_LEVEL) @ _KEY_WEIGHT[:b]),
+                ],
+                names=batch.schema.names + ["xp", "cell"],
+            )
 
     schema = StructType(
         repo.schema.fields
@@ -75,7 +82,7 @@ def build_blocked_repo(repo: DataFrame, pivots: np.ndarray) -> DataFrame:
             StructField("cell", LongType()),
         ]
     )
-    return repo.mapInPandas(add_cols, schema=schema)
+    return repo.mapInArrow(add_cols, schema=schema)
 
 
 def matching_pairs(

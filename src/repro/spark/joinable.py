@@ -2,9 +2,14 @@
 
 The paper's out-of-core design — partition the columns, build one PEXESO
 per partition offline, then per query search each partition's index and
-merge the results — maps onto two Spark steps:
+merge the results — maps onto three Spark steps:
 
-* **Build, once per repository.** One ``groupBy(part_id).applyInPandas``
+* **Partition, once per repository.** One ``mapInArrow`` bins each
+  batch's vectors into per-column histogram counts on the executors.
+  Only those counts reach the driver, one row per column and batch;
+  summed per column they are the column's histogram, and the JSD
+  k-means of §IV runs on them there.
+* **Build, once per repository.** One ``groupBy(part_id).applyInArrow``
   builds every partition's ``PexesoIndex`` and emits one row per
   partition: its column ids and the pickled index. The rows are
   repartitioned round-robin to ``defaultParallelism`` partitions and
@@ -18,7 +23,9 @@ merge the results — maps onto two Spark steps:
   search took 143–180 ms against 90–120 ms for the slowest round-robin
   task.
 
-Every UDF body first calls
+The set-up UDFs read the vectors straight from the Arrow batches
+(:func:`repro.spark.worker.vector_rows`), with no pandas rows, and
+reject a null or wrong-length ``vec``. Every UDF body first calls
 :func:`repro.spark.worker.install_stat_checked_zip_invalidation`, which
 saves each task a re-read of ``pyspark.zip``'s directory.
 
@@ -36,22 +43,20 @@ from typing import Callable
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 from repro.core.pexeso import PexesoIndex, check_unit_rows
 from repro.partition.cluster import jsd_kmeans
-from repro.spark.worker import install_stat_checked_zip_invalidation
+from repro.partition.histogram import bin_counts, normalize
+from repro.spark.worker import install_stat_checked_zip_invalidation, vector_rows
 
 __all__ = ["assign_partitions", "distributed_search", "partition_indexes"]
 
 _INDEX_SCHEMA = "cols array<string>, index binary"
 _RESULT_SCHEMA = "col_id string, n_matched long, joinability double"
-#: Vectors per column sent to the driver for clustering. The sample
-#: bounds driver memory for long columns; every LWDC-lite column (14
-#: vectors) is sent whole.
-_SAMPLE_PER_COLUMN = 64
+_COUNTS_SCHEMA = "col_id string, counts array<long>"
 
 #: The latest built index: ``(repo_parts, n_pivots, m, index rows)``.
 #: Holding ``repo_parts`` keeps its identity from being reused by another
@@ -68,14 +73,14 @@ def assign_partitions(
 ) -> DataFrame:
     """Add a ``part_id`` column via §IV clustering on column histograms.
 
-    Per-column vector samples (small) are collected to the driver, the
-    JSD k-means of §IV runs there (its input is one histogram per
-    column, not the vectors), and the assignment is broadcast back as a
-    tiny mapping table (one row per column), so the vectors stay where
-    they are.
+    The executors bin the vectors into histogram counts (see
+    :func:`_column_histograms`); ``partitioner`` (JSD k-means by
+    default) gets ``{col_id: histogram}`` on the driver, and its
+    assignment is broadcast back as a tiny mapping table (one row per
+    column), so the vectors stay where they are.
     """
     partitioner = partitioner or jsd_kmeans
-    assign = partitioner(_column_samples(repo), k)
+    assign = partitioner(_column_histograms(repo), k)
     spark = repo.sparkSession
     mapping = spark.createDataFrame(
         pd.DataFrame(
@@ -85,48 +90,60 @@ def assign_partitions(
     return repo.join(F.broadcast(mapping), "col_id")
 
 
-def _column_samples(repo: DataFrame) -> dict[str, np.ndarray]:
-    """Up to ``_SAMPLE_PER_COLUMN`` vectors of each column, by ``vec_id``,
-    keyed by column id in sorted order."""
-    sampled = (
-        repo.withColumn(
-            "_rn",
-            F.row_number().over(Window.partitionBy("col_id").orderBy("vec_id")),
-        )
-        .where(F.col("_rn") <= _SAMPLE_PER_COLUMN)
-        .select("col_id", "vec")
-        .toArrow()
+def _column_histograms(repo: DataFrame) -> dict[str, np.ndarray]:
+    """``{col_id: histogram}``, equal to ``partition.histogram.histograms``
+    of the columns' vectors.
+
+    Each Arrow batch emits the bin counts of the columns it holds, so no
+    vector is shuffled or collected; the driver sums the counts of
+    columns split over batches, which is exact because counts add.
+    """
+
+    def count_bins(batches):
+        install_stat_checked_zip_invalidation()
+        for batch in batches:
+            if batch.num_rows == 0:
+                continue
+            col = batch.column("col_id").dictionary_encode()
+            counts = bin_counts(
+                vector_rows(batch.column("vec")),
+                col.indices.to_numpy(),
+                len(col.dictionary),
+            )
+            offsets = np.arange(0, counts.size + 1, counts.shape[1], dtype=np.int32)
+            yield pa.RecordBatch.from_arrays(
+                [col.dictionary, pa.ListArray.from_arrays(offsets, counts.ravel())],
+                names=["col_id", "counts"],
+            )
+
+    rows = repo.select("col_id", "vec").mapInArrow(count_bins, _COUNTS_SCHEMA).toArrow()
+    ids, owner = np.unique(
+        rows.column("col_id").to_numpy(zero_copy_only=False), return_inverse=True
     )
-    # A stable sort keeps each column's vectors in the order they arrived.
-    col_id = sampled.column("col_id").to_numpy(zero_copy_only=False)
-    order = np.argsort(col_id, kind="stable")
-    col_id = col_id[order]
-    vecs = sampled.column("vec").combine_chunks().flatten().to_numpy()
-    vecs = vecs.reshape(len(col_id), -1)[order]
-    cut = np.flatnonzero(col_id[1:] != col_id[:-1]) + 1
-    return dict(zip(col_id[np.r_[0, cut]].tolist(), np.split(vecs, cut)))
+    batch_counts = vector_rows(rows.column("counts"))
+    counts = np.zeros((len(ids), batch_counts.shape[1]), dtype=np.int64)
+    np.add.at(counts, owner, batch_counts)
+    return dict(zip(ids.tolist(), normalize(counts)))
 
 
 def _build_indexes(repo_parts: DataFrame, n_pivots: int, m: int) -> DataFrame:
     """One lazily cached ``(cols, index)`` row per ``part_id``."""
 
-    def build_partition(pdf: pd.DataFrame) -> pd.DataFrame:
+    def build_partition(table: pa.Table) -> pa.Table:
         install_stat_checked_zip_invalidation()
-        cols = pdf["col_id"].unique()
-        col_index = {c: i for i, c in enumerate(cols)}
-        X = np.vstack(pdf["vec"].to_numpy())
-        col_of_vector = pdf["col_id"].map(col_index).to_numpy()
+        # Columns are numbered by first appearance.
+        col = table.column("col_id").combine_chunks().dictionary_encode()
+        cols = col.dictionary.to_pylist()
         engine = PexesoIndex(
-            X, col_of_vector, len(cols), n_pivots=n_pivots, m=m
+            vector_rows(table.column("vec")), col.indices.to_numpy(), len(cols),
+            n_pivots=n_pivots, m=m,
         )
-        return pd.DataFrame(
-            {"cols": [list(cols)], "index": [pickle.dumps(engine)]}
-        )
+        return pa.table({"cols": [cols], "index": [pickle.dumps(engine)]})
 
     return (
         repo_parts.select("part_id", "col_id", "vec")
         .groupBy("part_id")
-        .applyInPandas(build_partition, schema=_INDEX_SCHEMA)
+        .applyInArrow(build_partition, schema=_INDEX_SCHEMA)
         .repartition(repo_parts.sparkSession.sparkContext.defaultParallelism)
         .cache()
     )

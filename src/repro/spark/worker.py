@@ -1,4 +1,4 @@
-"""What the repository's Python UDFs do first in a Spark worker process.
+"""What the repository's Python UDFs share in a Spark worker process.
 
 PySpark's worker calls ``importlib.invalidate_caches()`` before every
 task. Up to CPython 3.12 that makes every ``zipimport.zipimporter``
@@ -14,6 +14,10 @@ invalidation lazy.
 last read, so an archive that changed is still re-read. The UDF bodies
 call it; it is never installed on import, so the driver keeps the
 interpreter's own behaviour.
+
+:func:`vector_rows` reads a list column of an Arrow batch, such as
+``vec array<double>``, as one (rows, d) matrix over the batch's own
+buffer.
 """
 from __future__ import annotations
 
@@ -21,7 +25,11 @@ import os
 import sys
 import zipimport
 
-__all__ = ["install_stat_checked_zip_invalidation"]
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+__all__ = ["install_stat_checked_zip_invalidation", "vector_rows"]
 
 
 def _archive_stat(path: str) -> tuple[int, int] | None:
@@ -53,3 +61,29 @@ def install_stat_checked_zip_invalidation() -> None:
 
     invalidate_caches.stat_checked = True
     zipimport.zipimporter.invalidate_caches = invalidate_caches
+
+
+def vector_rows(vec: pa.Array | pa.ChunkedArray, d: int | None = None) -> np.ndarray:
+    """The lists of ``vec`` (``array<double>`` or ``array<long>``) as the
+    rows of one (rows, d) matrix.
+
+    ``d`` defaults to the first list's length. A reshape of the flat
+    values would not see a list of another length (the rows would just
+    shift whenever the total divides by d), so every length is checked:
+    ``ValueError`` on a null list, a null element or a length other
+    than d. No rows give a (0, d) matrix (d = 0 when unknown).
+    """
+    if isinstance(vec, pa.ChunkedArray):
+        vec = vec.combine_chunks()
+    if len(vec) == 0:
+        return np.empty((0, d or 0))
+    if vec.null_count:
+        raise ValueError("a vec is null")
+    lengths = pc.list_value_length(vec).to_numpy()
+    d = int(lengths[0]) if d is None else d
+    if np.any(lengths != d):
+        raise ValueError(f"every vec must hold {d} values")
+    flat = pc.list_flatten(vec)
+    if flat.null_count:
+        raise ValueError("a vec holds a null value")
+    return flat.to_numpy().reshape(len(vec), d)

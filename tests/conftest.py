@@ -39,6 +39,20 @@ def planted_repo(
     return Q, X, col, n_cols
 
 
+def bad_vec(lake: DataLake, bad: str):
+    """The ``vec`` column with rows 0 and 1 of the first column spoiled."""
+    from pyspark.sql import functions as F
+
+    first = F.col("col_id") == lake.columns[0].col_id
+    row0, row1 = first & (F.col("vec_id") == 0), first & (F.col("vec_id") == 1)
+    if bad == "null":
+        return F.when(row0, F.lit(None).cast("array<double>")).otherwise(F.col("vec"))
+    vec = F.when(row0, F.slice("vec", 1, F.size("vec") - 1))
+    if bad == "shifted":
+        vec = vec.when(row1, F.concat(F.array(F.lit(0.0)), F.col("vec")))
+    return vec.otherwise(F.col("vec"))
+
+
 @pytest.fixture(scope="session")
 def tiny_lake() -> DataLake:
     """A small lake shared by discovery tests (deterministic)."""

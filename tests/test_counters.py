@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.pexeso import PexesoIndex
 from repro.partition.cluster import jsd_kmeans, random_partition
+from repro.partition.histogram import histograms
 from tests.conftest import planted_repo
 
 #: ``planted_repo(seed)`` indexed with (|P|, m) and searched at τ, T = 0.5:
@@ -109,12 +110,13 @@ def test_fig9_jsd_partitioning_not_worse_than_random(repo):
     work under JSD partitioning should not exceed random partitioning."""
     Q, X, col, n_cols = repo
     col_vectors = {f"c{c}": X[col == c] for c in range(n_cols)}
+    hists = dict(zip(*histograms(col_vectors)))
     k = 4
     jsd_total = _partitioned_distance_total(
-        Q, col_vectors, jsd_kmeans(col_vectors, k, seed=1), k, 0.3, 0.4
+        Q, col_vectors, jsd_kmeans(hists, k, seed=1), k, 0.3, 0.4
     )
     rnd_total = _partitioned_distance_total(
-        Q, col_vectors, random_partition(col_vectors, k, seed=1), k, 0.3, 0.4
+        Q, col_vectors, random_partition(hists, k, seed=1), k, 0.3, 0.4
     )
     # Allow slack: at test scale the effect is noisy, but JSD must not
     # be catastrophically worse.
@@ -127,7 +129,8 @@ def test_partitioned_union_equals_single_index(repo):
     tau, T = 0.3, 0.4
     single = PexesoIndex(X, col, n_cols, n_pivots=3, m=3).search(Q, tau, T)
     col_vectors = {c: X[col == c] for c in range(n_cols)}
-    assign = jsd_kmeans({str(c): v for c, v in col_vectors.items()}, 3, seed=0)
+    hists = dict(zip(*histograms({str(c): v for c, v in col_vectors.items()})))
+    assign = jsd_kmeans(hists, 3, seed=0)
     got = set()
     for part in range(3):
         cols = sorted(int(c) for c, p in assign.items() if p == part)

@@ -21,6 +21,11 @@ def _clustered_columns(k_groups=3, cols_per_group=8, n=40, dim=16, seed=0):
     return out
 
 
+def _column_histograms(cols):
+    """What the partitioners take: ``{col_id: histogram}``."""
+    return dict(zip(*histograms(cols)))
+
+
 # ---------- histograms ----------
 def test_histogram_is_probability():
     h = column_histogram(unit_rows(100, 8))
@@ -104,7 +109,7 @@ def test_jsd_matrix_matches_scalar():
 @pytest.mark.parametrize("fn", [jsd_kmeans, random_partition])
 def test_partitioner_contract(fn):
     cols = _clustered_columns()
-    assign = fn(cols, 4, seed=1) if fn is random_partition else fn(cols, 4, seed=1)
+    assign = fn(_column_histograms(cols), 4, seed=1)
     assert set(assign) == set(cols)
     assert all(0 <= p < 4 for p in assign.values())
 
@@ -112,7 +117,7 @@ def test_partitioner_contract(fn):
 def test_jsd_kmeans_recovers_planted_groups():
     """Columns from the same distribution should land together."""
     cols = _clustered_columns(k_groups=3, cols_per_group=10, seed=4)
-    assign = jsd_kmeans(cols, 3, seed=2)
+    assign = jsd_kmeans(_column_histograms(cols), 3, seed=2)
     # Majority label per planted group; the clustering should be much
     # better than chance (perfect recovery is not required).
     agree = 0
@@ -123,11 +128,11 @@ def test_jsd_kmeans_recovers_planted_groups():
 
 
 def test_jsd_kmeans_deterministic():
-    cols = _clustered_columns()
-    assert jsd_kmeans(cols, 3, seed=5) == jsd_kmeans(cols, 3, seed=5)
+    H = _column_histograms(_clustered_columns())
+    assert jsd_kmeans(H, 3, seed=5) == jsd_kmeans(H, 3, seed=5)
 
 
 def test_k_clamped_to_n_columns():
     cols = {k: v for k, v in list(_clustered_columns().items())[:2]}
-    assign = jsd_kmeans(cols, 10)
+    assign = jsd_kmeans(_column_histograms(cols), 10)
     assert set(assign.values()) <= {0, 1}

@@ -7,6 +7,8 @@ joinability with ``list_distance`` over the raw vectors.
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import PythonException
+from pyspark.sql import functions as F
 
 from repro.baselines import exact_scan
 from repro.core.pivots import select_pivots
@@ -17,6 +19,7 @@ from repro.spark.blocking import (
     build_blocked_repo,
     matching_pairs,
 )
+from tests.conftest import bad_vec
 
 TAU = 0.45
 
@@ -41,18 +44,47 @@ def test_blocked_repo_schema(setup):
 
 
 def test_cell_key_matches_numpy(setup, tiny_lake):
-    """Blocking keys computed in the executor match driver-side math."""
+    """Pivot coordinates and blocking keys computed in the executor match
+    driver-side math, the coordinates bit for bit."""
     pivots, _, blocked = setup
     from repro.core.grid import DOMAIN
     from repro.core.pivots import pivot_map
 
-    pdf = blocked.select("col_id", "vec_id", "vec", "cell").toPandas()
+    pdf = blocked.select("col_id", "vec_id", "vec", "xp", "cell").toPandas()
     X = np.vstack(pdf["vec"].to_numpy())
     Xp = pivot_map(X, pivots)
+    assert np.vstack(pdf["xp"].to_numpy()).tobytes() == Xp.tobytes()
     side = DOMAIN / (1 << 3)
     coords = np.clip(np.floor(Xp[:, :2] / side).astype(int), 0, 7)
     want = coords[:, 0] + 8 * coords[:, 1]
     assert list(pdf["cell"]) == want.tolist()
+
+
+def test_more_partitions_than_rows(spark, setup, tiny_lake):
+    """Spark partitions without rows add nothing and raise nothing. The
+    coordinates of a one-row batch may differ from a larger batch's in
+    the last bit (a matrix-vector product rounds differently)."""
+    pivots, repo, blocked = setup
+    cols = tiny_lake.columns[:3]
+    keep = F.col("col_id").isin(*[c.col_id for c in cols])
+    n_rows = sum(len(c.vectors) for c in cols)
+    spread = build_blocked_repo(repo.where(keep).repartition(n_rows + 4), pivots)
+    key = ["col_id", "vec_id"]
+    got = sorted(spread.select(*key, "xp", "cell").collect())
+    want = sorted(blocked.where(keep).select(*key, "xp", "cell").collect())
+    assert [r[:2] + r[3:] for r in got] == [r[:2] + r[3:] for r in want]
+    np.testing.assert_allclose([r["xp"] for r in got], [r["xp"] for r in want], rtol=1e-15)
+
+
+@pytest.mark.parametrize("bad", ["short", "shifted", "null"])
+def test_rejects_bad_vec(setup, tiny_lake, bad):
+    """A null vec, or one whose length is not the pivots' dimension, fails
+    the pivot-mapping UDF; "shifted" keeps the rows' total length a
+    multiple of d."""
+    pivots, repo, _ = setup
+    want = "ValueError: a vec is null" if bad == "null" else "ValueError: every vec must hold 32"
+    with pytest.raises(PythonException, match=want):
+        build_blocked_repo(repo.withColumn("vec", bad_vec(tiny_lake, bad)), pivots).count()
 
 
 def test_blocked_joinability_equals_numpy(spark, setup, tiny_lake):

@@ -4,19 +4,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from pyspark.errors import PythonException
 from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 from repro.baselines import exact_scan
 from repro.core.pexeso import t_abs
 from repro.lake.generator import lake_to_spark
 from repro.partition.cluster import jsd_kmeans, random_partition
+from repro.partition.histogram import histograms
 from repro.spark import joinable
 from repro.spark.joinable import (
     assign_partitions,
     distributed_search,
     partition_indexes,
 )
+from tests.conftest import bad_vec
 
 
 @pytest.fixture(scope="module")
@@ -32,26 +34,49 @@ def test_assign_partitions_covers_all_columns(repo_parts, tiny_lake):
     assert {r["part_id"] for r in rows} <= set(range(4))
 
 
-def test_column_samples_match_pandas_groupby(spark, tiny_lake):
-    """The Arrow read gives each column the same vectors, bit for bit and
-    in the same order, as ``toPandas`` plus a pandas ``groupby``."""
+@pytest.mark.parametrize("n_parts", [None, 7])
+def test_column_histograms_match_histograms(spark, tiny_lake, n_parts):
+    """The executors' bin counts, summed per column on the driver, give
+    each column bit for bit the histogram ``histograms()`` computes from
+    its vectors, also when round-robin rows split every column over
+    batches, and so the same JSD assignment."""
     repo = lake_to_spark(spark, tiny_lake)
-    pdf = (
-        repo.withColumn(
-            "_rn",
-            F.row_number().over(Window.partitionBy("col_id").orderBy("vec_id")),
-        )
-        .where(F.col("_rn") <= joinable._SAMPLE_PER_COLUMN)
-        .select("col_id", "vec")
-        .toPandas()
+    if n_parts:
+        repo = repo.repartition(n_parts)
+    got = joinable._column_histograms(repo)
+    ids, H = histograms(tiny_lake.column_matrices())
+    assert list(got) == ids
+    assert np.stack(list(got.values())).tobytes() == H.tobytes()
+    assert jsd_kmeans(got, 4) == jsd_kmeans(dict(zip(ids, H)), 4)
+
+
+def test_more_partitions_than_rows(spark, tiny_lake):
+    """Spark partitions without rows add nothing and raise nothing in the
+    histogram and index-build UDFs."""
+    joinable_cols = sorted(_exact_cols(tiny_lake, 0.4, 0.4))
+    keep = set(joinable_cols[:2]) | {tiny_lake.columns[0].col_id}
+    n_rows = sum(len(c.vectors) for c in tiny_lake.columns if c.col_id in keep)
+    few = lake_to_spark(spark, tiny_lake).where(F.col("col_id").isin(*keep))
+    few = few.repartition(n_rows + 4)
+    parts = assign_partitions(few, 2)
+    assert {r["col_id"] for r in parts.select("col_id").distinct().collect()} == keep
+    assert _search_cols(parts, tiny_lake, 0.4, 0.4) == _exact_cols(
+        tiny_lake, 0.4, 0.4, keep=keep.__contains__
     )
-    want = {cid: np.vstack(g["vec"].to_numpy()) for cid, g in pdf.groupby("col_id")}
-    got = joinable._column_samples(repo)
-    assert list(got) == list(want)
-    for cid, vecs in want.items():
-        assert got[cid].dtype == vecs.dtype and got[cid].shape == vecs.shape
-        assert got[cid].tobytes() == vecs.tobytes()
-    assert jsd_kmeans(got, 4) == jsd_kmeans(want, 4)
+
+
+@pytest.mark.parametrize("bad", ["short", "shifted", "null"])
+def test_rejects_bad_vec(spark, repo_parts, tiny_lake, bad):
+    """A null vec, or one of another length, fails the histogram and the
+    index-build UDFs. "shifted" moves one value to the next row, so the
+    rows' total length still divides by d and only a per-row length
+    check sees it."""
+    vec = bad_vec(tiny_lake, bad)
+    want = "ValueError: a vec is null" if bad == "null" else "ValueError: every vec must hold"
+    with pytest.raises(PythonException, match=want):
+        assign_partitions(lake_to_spark(spark, tiny_lake).withColumn("vec", vec), 4)
+    with pytest.raises(PythonException, match=want):
+        _search_cols(repo_parts.withColumn("vec", vec), tiny_lake, 0.4, 0.4)
 
 
 def test_assign_partitions_custom_partitioner(spark, tiny_lake):

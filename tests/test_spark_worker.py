@@ -1,9 +1,12 @@
-"""Tests for the zip-import invalidation the Spark UDFs install."""
+"""Tests for what the Spark UDFs share: the zip-import invalidation they
+install and the Arrow reader of their ``vec`` column."""
 import importlib
 import sys
 import zipfile
 import zipimport
 
+import numpy as np
+import pyarrow as pa
 import pytest
 
 from repro.spark import worker
@@ -87,3 +90,22 @@ def test_not_installed_from_python_3_13(monkeypatch, archive):
     monkeypatch.setattr(sys, "version_info", (3, 13, 0, "final", 0))
     worker.install_stat_checked_zip_invalidation()
     assert zipimport.zipimporter.invalidate_caches is original
+
+
+def test_vector_rows_reads_a_slice_and_no_rows():
+    """A batch's lists become one matrix, a sliced array's only its own
+    rows, and an empty batch no rows."""
+    vec = pa.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], type=pa.list_(pa.float64()))
+    assert np.array_equal(worker.vector_rows(vec.slice(1)), [[3.0, 4.0], [5.0, 6.0]])
+    assert worker.vector_rows(vec.slice(3), 2).shape == (0, 2)
+
+
+@pytest.mark.parametrize("vecs,d,message", [
+    ([[1.0, 2.0], None], None, "a vec is null"),
+    ([[1.0, 2.0], [3.0, None]], None, "holds a null value"),
+    ([[1.0], [2.0, 3.0, 4.0]], 2, "must hold 2 values"),  # total 4 divides by d
+    ([[1.0, 2.0, 3.0]], 2, "must hold 2 values"),
+])
+def test_vector_rows_rejects_bad_lists(vecs, d, message):
+    with pytest.raises(ValueError, match=message):
+        worker.vector_rows(pa.array(vecs, type=pa.list_(pa.float64())), d)
