@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pexeso import check_unit_rows
+from repro.core.pexeso import check_query, check_unit_rows
 
 __all__ = ["BallTree", "ctree_search"]
 
@@ -80,7 +80,7 @@ def ctree_search(
 
     Returns (joinable column set, number of distance computations).
     """
-    check_unit_rows("Q", Q)
+    check_query(Q, tau)
     counts = np.zeros(n_cols, dtype=np.int64)
     joinable: set[int] = set()
     counter = [0]

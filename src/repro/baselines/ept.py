@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pexeso import check_unit_rows
+from repro.core.pexeso import check_query, check_unit_rows
 from repro.core.pivots import pivot_map, select_pivots
 from repro.core.regions import lemma1_survives
 
@@ -49,7 +49,7 @@ def ept_search(
     vectors, exact-distance the survivors, count one match per
     (q, column); columns that reach T are skipped thereafter.
     """
-    check_unit_rows("Q", Q)
+    check_query(Q, tau)
     counts = np.zeros(n_cols, dtype=np.int64)
     joinable: set[int] = set()
     n_dist = 0

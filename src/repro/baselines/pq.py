@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pexeso import check_unit_rows
+from repro.core.pexeso import check_query, check_unit_rows
 
 __all__ = ["kmeans", "PQIndex", "pq_search", "calibrate_radius_scale"]
 
@@ -148,7 +148,7 @@ def pq_search(
     scale: float = 1.0,
 ) -> set[int]:
     """PQ workflow: approximate range query per query vector."""
-    check_unit_rows("Q", Q)
+    check_query(Q, tau)
     counts = np.zeros(n_cols, dtype=np.int64)
     joinable: set[int] = set()
     for q in Q:

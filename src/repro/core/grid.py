@@ -30,9 +30,14 @@ def leaf_coords(Xp: np.ndarray, m: int) -> np.ndarray:
     """Integer level-``m`` cell coordinates of mapped vectors ``Xp``.
 
     The clip puts a coordinate exactly at ``DOMAIN`` into the last cell.
+    It runs before the cast, so a coordinate beyond the int64 range (a
+    query region of τ = 1e300 or inf) clips to the nearest cell instead
+    of wrapping around.
     """
-    c = np.floor(Xp / (DOMAIN / (1 << m))).astype(np.int64)
-    return np.clip(c, 0, (1 << m) - 1, out=c)
+    c = Xp / (DOMAIN / (1 << m))
+    np.floor(c, out=c)
+    np.clip(c, 0, (1 << m) - 1, out=c)
+    return c.astype(np.int64)
 
 
 def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,7 +98,3 @@ class HierarchicalGrid:
         s = self.starts[level]
         owner, pos = expand_ranges(s[cells], s[cells + 1])
         return owner, self.order[pos]
-
-    def n_cells(self) -> int:
-        """Total number of materialized cells across all levels."""
-        return sum(self.n_level(l) for l in range(self.m + 1))

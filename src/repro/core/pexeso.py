@@ -23,7 +23,7 @@ from repro.core.grid import HierarchicalGrid
 from repro.core.inverted import InvertedIndex
 from repro.core.pivots import pivot_map, select_pivots
 
-__all__ = ["SearchResult", "PexesoIndex", "check_unit_rows", "t_abs"]
+__all__ = ["SearchResult", "PexesoIndex", "check_query", "check_unit_rows", "t_abs"]
 
 
 #: Largest accepted | |x|² − 1 | of an input row. The grid's fixed extent
@@ -40,6 +40,14 @@ def check_unit_rows(name: str, X: np.ndarray) -> np.ndarray:
     if not (len(X) and np.all(np.abs(sq_norms - 1.0) <= NORM_TOL)):
         raise ValueError(f"{name} must have at least one row, each finite and unit-norm")
     return sq_norms
+
+
+def check_query(Q: np.ndarray, tau: float) -> None:
+    """Raise ``ValueError`` unless ``Q`` passes :func:`check_unit_rows` and
+    ``tau`` is a number ≥ 0. A NaN τ would match nothing, silently."""
+    check_unit_rows("Q", Q)
+    if not tau >= 0:
+        raise ValueError(f"tau must be a number >= 0, got {tau!r}")
 
 
 def t_abs(T: float, n_query: int) -> int:
@@ -112,7 +120,7 @@ class PexesoIndex:
 
         if Q.ndim != 2 or Q.shape[1] != self.X.shape[1]:
             raise ValueError(f"Q must have shape (n, {self.X.shape[1]}), got {Q.shape}")
-        check_unit_rows("Q", Q)
+        check_query(Q, tau)
         t0 = time.perf_counter()
         Qp = pivot_map(Q, self.pivots)
         hg_q = HierarchicalGrid(Qp, self.m)

@@ -15,10 +15,11 @@ import numpy as np
 
 __all__ = ["select_pivots", "pivot_map"]
 
+#: Rows of ``X`` that pivot selection samples: the PCA runs on at most these.
+SAMPLE = 4096
 
-def select_pivots(
-    X: np.ndarray, n_pivots: int, *, seed: int = 0, sample: int = 4096
-) -> np.ndarray:
+
+def select_pivots(X: np.ndarray, n_pivots: int, *, seed: int = 0) -> np.ndarray:
     """PCA-based pivot selection: (n_pivots, dim) rows drawn from ``X``.
 
     For each of the top principal components (cycled if ``n_pivots``
@@ -30,7 +31,7 @@ def select_pivots(
     if len(X) == 0:
         raise ValueError("cannot select pivots from an empty dataset")
     g = np.random.default_rng(seed)
-    idx = np.arange(len(X)) if len(X) <= sample else g.choice(len(X), sample, False)
+    idx = np.arange(len(X)) if len(X) <= SAMPLE else g.choice(len(X), SAMPLE, False)
     S = X[idx]
     centered = S - S.mean(axis=0)
     # Top components via SVD of the (sample, dim) matrix.

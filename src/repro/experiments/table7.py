@@ -1,14 +1,16 @@
 """Table VII: search-time grid T × τ for CTREE, EPT, PEXESO-H, PEXESO.
 
-In-memory: OPEN-lite and SWDC-lite, each method's index built once and
-searched across the 4×4 (T, τ) grid.
+Each method is one ``(build, search)`` entry of ``_ENGINES``; PEXESO-H
+and PEXESO share one build. A lake is a list of partitions holding one
+index per build; a method's timer loads only its own index of each
+partition in turn, searches it and merges the joinable sets, so each
+row's ``seconds`` is load plus search over the partitions.
 
-Out-of-core (LWDC-lite): columns are split into ``N_PARTS`` partitions
-by the §IV JSD clustering; each partition's index is built once and
-*pickled to disk*; a search loads one partition's index at a time
-(the paper's "load each single PEXESO into main memory at a time"),
-searches it, and merges the per-partition joinable sets. Reported
-times include the deserialization overhead, as in the paper.
+In-memory (OPEN-lite, SWDC-lite): one partition, its indexes held in
+memory. Out-of-core (LWDC-lite): ``N_PARTS`` partitions by the §IV JSD
+clustering, each index pickled to its own file (a PEXESO file is a bare
+``PexesoIndex``, as ``spark.joinable`` caches it) and loaded one at a
+time, the paper's "load each single PEXESO into main memory at a time".
 
 τ here is the paper's raw grid — a percentage of the maximum distance
 2.0 — because these tables measure the search engines' filtering
@@ -36,24 +38,12 @@ from repro.experiments.common import (
     lite_lake,
 )
 from repro.embedding.hashing import MAX_DISTANCE
-from repro.partition.cluster import jsd_kmeans
+from repro.partition.cluster import jsd_kmeans, split_columns
 from repro.partition.histogram import histograms
 
-__all__ = ["run_inmemory", "run_outofcore", "format_table7", "METHODS", "PAPER_RANGES"]
+__all__ = ["run_inmemory", "run_outofcore", "format_table7", "METHODS"]
 
-METHODS = ["CTREE", "EPT", "PEXESO-H", "PEXESO"]
 N_PARTS = 10
-
-#: Paper's Table VII value ranges (seconds) per dataset/method, for the
-#: shape comparison in EXPERIMENTS.md.
-PAPER_RANGES = {
-    "OPEN": {"CTREE": (656, 934), "EPT": (704, 973), "PEXESO-H": (66.7, 279),
-             "PEXESO": (32.5, 68.1)},
-    "SWDC": {"CTREE": (567, 831), "EPT": (577, 829), "PEXESO-H": (130, 157),
-             "PEXESO": (9.8, 13.6)},
-    "LWDC": {"CTREE": (7200, 7200), "EPT": (7200, 7200),
-             "PEXESO-H": (3567, 7200), "PEXESO": (456, 635)},
-}
 
 
 @dataclass
@@ -66,29 +56,37 @@ class EffRow:
     n_distance: int
 
 
-@dataclass
-class _Indexes:
-    """Every method's index over one repository (or one partition)."""
+def _ball_tree(X, col, n_cols) -> BallTree:
+    return BallTree(X)
 
-    col: np.ndarray
-    n_cols: int
-    ctree: BallTree
-    ept: PivotTable
-    pexeso: PexesoIndex
 
-    @classmethod
-    def build(cls, X, col, n_cols) -> "_Indexes":
-        return cls(col, n_cols, BallTree(X), PivotTable(X, n_pivots=5),
-                   PexesoIndex(X, col, n_cols, n_pivots=5, m=4))
+def _pivot_table(X, col, n_cols) -> PivotTable:
+    return PivotTable(X, n_pivots=5)
 
-    def search(self, method, Q, tau, Ta, T) -> tuple[set[int], int]:
-        """(joinable column indexes, distance computations) of ``method``."""
-        if method == "CTREE":
-            return ctree_search(self.ctree, self.col, self.n_cols, Q, tau, Ta)
-        if method == "EPT":
-            return ept_search(self.ept, self.col, self.n_cols, Q, tau, Ta)
-        r = self.pexeso.search(Q, tau, T, use_inverted=method == "PEXESO")
-        return r.joinable, r.n_distance
+
+def _pexeso(X, col, n_cols) -> PexesoIndex:
+    return PexesoIndex(X, col, n_cols, n_pivots=5, m=4)
+
+
+def _with_t_abs(search):
+    """A baseline's search, given T as a share of |Q| like the others."""
+    return lambda ix, col, n, Q, tau, T: search(ix, col, n, Q, tau, t_abs(T, len(Q)))
+
+
+def _pexeso_search(index, col, n_cols, Q, tau, T, *, use_inverted):
+    r = index.search(Q, tau, T, use_inverted=use_inverted)
+    return r.joinable, r.n_distance
+
+
+#: method → (build(X, col, n_cols), search(index, col, n_cols, Q, tau, T)),
+#: where search returns (joinable column indexes, distance computations).
+_ENGINES = {
+    "CTREE": (_ball_tree, _with_t_abs(ctree_search)),
+    "EPT": (_pivot_table, _with_t_abs(ept_search)),
+    "PEXESO-H": (_pexeso, partial(_pexeso_search, use_inverted=False)),
+    "PEXESO": (_pexeso, partial(_pexeso_search, use_inverted=True)),
+}
+METHODS = list(_ENGINES)
 
 
 def _check_agree(answers: dict[str, set], T: float, pct: float) -> None:
@@ -100,26 +98,37 @@ def _check_agree(answers: dict[str, set], T: float, pct: float) -> None:
         )
 
 
+def _indexed(parts: list[tuple], methods, keep) -> list[tuple]:
+    """``(cols, col_of, {build: load})`` for each ``(cols, X, col_of)``
+    partition: one index per build that ``methods`` use, handed to
+    ``keep(name, index)``, which returns the ``load()`` a timer calls."""
+    builds = dict.fromkeys(_ENGINES[m][0] for m in methods)
+    return [
+        (cols, col_of, {
+            b: keep(f"part{p}{b.__name__}", b(X, col_of, len(cols))) for b in builds
+        })
+        for p, (cols, X, col_of) in enumerate(parts)
+    ]
+
+
 def _search_grid(
     dataset: str, Q: np.ndarray, parts: list[tuple], methods, t_grid, tau_grid
 ) -> list[EffRow]:
-    """Time every method over the T × τ grid on ``parts``, a list of
-    ``(column ids, load)``: ``load()`` returns the partition's ``_Indexes``
-    inside the timer, and the partitions' joinable sets are merged.
+    """Time every method over the T × τ grid on ``parts`` (see :func:`_indexed`).
 
     Raises ``AssertionError`` if the methods' merged joinable sets differ.
     """
     rows: list[EffRow] = []
     for T in t_grid:
-        Ta = t_abs(T, len(Q))
         for pct in tau_grid:
             tau = pct * MAX_DISTANCE
             answers = {}
             for method in methods:
+                build, search = _ENGINES[method]
                 t0 = time.perf_counter()
                 joinable, n_dist = set(), 0
-                for cols, load in parts:  # one partition in memory at a time
-                    hit, n = load().search(method, Q, tau, Ta, T)
+                for cols, col_of, loads in parts:  # one index in memory at a time
+                    hit, n = search(loads[build](), col_of, len(cols), Q, tau, T)
                     joinable |= {cols[i] for i in hit}
                     n_dist += n
                 dt = time.perf_counter() - t0
@@ -144,38 +153,16 @@ def run_inmemory(
     rows: list[EffRow] = []
     for kind in datasets:
         Q, X, col, uniq = lake_arrays(kind, seed)
-        indexes = _Indexes.build(X, col, len(uniq))
-        parts = [(range(len(uniq)), lambda: indexes)]
+        parts = _indexed([(range(len(uniq)), X, col)], methods,
+                         lambda name, index: lambda: index)
         rows += _search_grid(kind.upper() + "-lite", Q, parts, methods, t_grid, tau_grid)
     return rows
 
 
 # ---------------- out-of-core (LWDC-lite) ----------------
-def _load(path: str) -> _Indexes:
+def _load(path: str):
     with open(path, "rb") as f:
         return pickle.load(f)
-
-
-def _build_partition_indexes(tmpdir: str, seed: int = 0) -> list[tuple]:
-    """Partition LWDC-lite by JSD clustering; pickle every method's index
-    per partition to disk. Returns ``(column ids, load)`` per partition."""
-    lake = lite_lake("lwdc", seed)
-    col_vecs = lake.column_matrices()
-    assign = jsd_kmeans(dict(zip(*histograms(col_vecs))), N_PARTS, seed=seed)
-    parts = []
-    for part in range(N_PARTS):
-        cols = sorted(c for c, p in assign.items() if p == part)
-        if not cols:
-            continue
-        X = np.vstack([col_vecs[c] for c in cols])
-        col_of = np.concatenate(
-            [np.full(len(col_vecs[c]), i) for i, c in enumerate(cols)]
-        )
-        path = os.path.join(tmpdir, f"part{part}.pkl")
-        with open(path, "wb") as f:
-            pickle.dump(_Indexes.build(X, col_of, len(cols)), f)
-        parts.append((cols, partial(_load, path)))
-    return parts
 
 
 def run_outofcore(
@@ -189,10 +176,21 @@ def run_outofcore(
 
     Raises ``AssertionError`` if the methods' merged joinable sets differ.
     """
-    Q = lite_lake("lwdc", seed).query_vectors
+    lake = lite_lake("lwdc", seed)
+    col_vecs = lake.column_matrices()
+    assign = jsd_kmeans(dict(zip(*histograms(col_vecs))), N_PARTS, seed=seed)
     with tempfile.TemporaryDirectory() as tmpdir:
-        parts = _build_partition_indexes(tmpdir, seed)
-        return _search_grid("LWDC-lite", Q, parts, methods, t_grid, tau_grid)
+
+        def to_disk(name, index):
+            path = os.path.join(tmpdir, name + ".pkl")
+            with open(path, "wb") as f:
+                pickle.dump(index, f)
+            return partial(_load, path)
+
+        parts = _indexed(split_columns(col_vecs, assign), methods, to_disk)
+        return _search_grid(
+            "LWDC-lite", lake.query_vectors, parts, methods, t_grid, tau_grid
+        )
 
 
 def format_table7(rows: list[EffRow]) -> str:

@@ -34,14 +34,13 @@ __all__ = ["record_pairs", "enrich", "METHODS"]
 METHODS = ["no-join", "equi", "jaccard", "fuzzy", "pexeso"]
 
 
-def _lake_df(spark: SparkSession, task: MLTask) -> DataFrame:
+def _lake_pdf(task: MLTask) -> pd.DataFrame:
+    """One ``(col_id, vec_id, value)`` row per lake record."""
     rows = []
     for name, pdf in task.lake_tables.items():
         for i, v in enumerate(pdf["key"]):
             rows.append((name, i, v))
-    return spark.createDataFrame(
-        pd.DataFrame(rows, columns=["col_id", "vec_id", "value"])
-    )
+    return pd.DataFrame(rows, columns=["col_id", "vec_id", "value"])
 
 
 def record_pairs(
@@ -60,23 +59,13 @@ def record_pairs(
             "q_value": task.query[task.key_col].astype(str),
         }
     )
-    qdf = spark.createDataFrame(q_pdf)
-    lake = _lake_df(spark, task)
+    lake_pdf = _lake_pdf(task)
 
     if method == "no-join":
         return spark.createDataFrame(
             [], schema="col_id string, vec_id long, q_id long"
         )
-    if method == "equi":
-        return lake.join(qdf, lake["value"] == qdf["q_value"]).select(
-            "col_id", "vec_id", "q_id"
-        )
-    if method in ("jaccard", "fuzzy"):
-        grams = tokens if method == "jaccard" else char_ngrams
-        sim = set_similarity(qdf, lake, grams)
-        return sim.where(F.col("sim") >= F.lit(theta)).select("col_id", "vec_id", "q_id")
     if method == "pexeso":
-        lake_pdf = lake.toPandas()
         vecs = embed_many(
             [normalize(v) for v in lake_pdf["value"]], model="glove", dim=dim
         )
@@ -90,6 +79,16 @@ def record_pairs(
         return matching_pairs(spark, blocked, Q, pivots, tau).select(
             "col_id", "vec_id", "q_id"
         )
+    qdf = spark.createDataFrame(q_pdf)
+    lake = spark.createDataFrame(lake_pdf)
+    if method == "equi":
+        return lake.join(qdf, lake["value"] == qdf["q_value"]).select(
+            "col_id", "vec_id", "q_id"
+        )
+    if method in ("jaccard", "fuzzy"):
+        grams = tokens if method == "jaccard" else char_ngrams
+        sim = set_similarity(qdf, lake, grams)
+        return sim.where(F.col("sim") >= F.lit(theta)).select("col_id", "vec_id", "q_id")
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -18,27 +18,24 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bin_counts", "column_histogram", "histograms", "normalize"]
+__all__ = ["bin_counts", "histograms", "normalize"]
 
 _EPS = 1e-9
+#: Random directions, equal-width bins of [-1, 1] per direction, and the
+#: directions' seed: every histogram is ``N_DIRS * N_BINS`` long.
+N_DIRS = 4
+N_BINS = 8
+_SEED = 123
 
 
-def _directions(dim: int, k: int, seed: int = 123) -> np.ndarray:
-    g = np.random.default_rng(seed)
-    D = g.standard_normal((k, dim))
+def _directions(dim: int) -> np.ndarray:
+    g = np.random.default_rng(_SEED)
+    D = g.standard_normal((N_DIRS, dim))
     return D / np.linalg.norm(D, axis=1, keepdims=True)
 
 
-def bin_counts(
-    X: np.ndarray,
-    owner: np.ndarray,
-    n_cols: int,
-    *,
-    n_dirs: int = 4,
-    n_bins: int = 8,
-    seed: int = 123,
-) -> np.ndarray:
-    """Raw bin counts, (n_cols, n_dirs·n_bins) ``int64``, of the rows of
+def bin_counts(X: np.ndarray, owner: np.ndarray, n_cols: int) -> np.ndarray:
+    """Raw bin counts, (n_cols, N_DIRS·N_BINS) ``int64``, of the rows of
     ``X``, row ``i`` counted for column ``owner[i]`` in ``[0, n_cols)``.
 
     The bins are ``np.histogram``'s over ``[-1, 1]``: left-closed, the
@@ -48,13 +45,13 @@ def bin_counts(
     moves a count only for a projection that close to a bin edge.
     """
     # Unit vectors → proj in [-1, 1].
-    proj = X @ _directions(X.shape[1], n_dirs, seed).T
-    edges = np.linspace(-1.0, 1.0, n_bins + 1)
+    proj = X @ _directions(X.shape[1]).T
+    edges = np.linspace(-1.0, 1.0, N_BINS + 1)
     inside = (proj >= -1.0) & (proj <= 1.0)
-    bins = np.minimum(np.searchsorted(edges, proj, side="right") - 1, n_bins - 1)
-    slot = (owner[:, None] * n_dirs + np.arange(n_dirs)) * n_bins + bins
-    counts = np.bincount(slot[inside], minlength=n_cols * n_dirs * n_bins)
-    return counts.reshape(n_cols, n_dirs * n_bins)
+    bins = np.minimum(np.searchsorted(edges, proj, side="right") - 1, N_BINS - 1)
+    slot = (owner[:, None] * N_DIRS + np.arange(N_DIRS)) * N_BINS + bins
+    counts = np.bincount(slot[inside], minlength=n_cols * N_DIRS * N_BINS)
+    return counts.reshape(n_cols, N_DIRS * N_BINS)
 
 
 def normalize(counts: np.ndarray) -> np.ndarray:
@@ -64,26 +61,10 @@ def normalize(counts: np.ndarray) -> np.ndarray:
     return H / H.sum(axis=1, keepdims=True)
 
 
-def column_histogram(
-    vectors: np.ndarray, *, n_dirs: int = 4, n_bins: int = 8, seed: int = 123
-) -> np.ndarray:
-    """Probability histogram (length n_dirs·n_bins, sums to 1) of a column."""
-    return histograms({"": vectors}, n_dirs=n_dirs, n_bins=n_bins, seed=seed)[1][0]
-
-
-def histograms(
-    column_vectors: dict[str, np.ndarray],
-    *,
-    n_dirs: int = 4,
-    n_bins: int = 8,
-    seed: int = 123,
-) -> tuple[list[str], np.ndarray]:
+def histograms(column_vectors: dict[str, np.ndarray]) -> tuple[list[str], np.ndarray]:
     """Histogram matrix for a set of columns: (ids, (n_cols, bins)), ids
     sorted. All columns are binned in one pass."""
     ids = sorted(column_vectors)
     cols = [column_vectors[c] for c in ids]
     owner = np.repeat(np.arange(len(ids)), [len(V) for V in cols])
-    counts = bin_counts(
-        np.vstack(cols), owner, len(ids), n_dirs=n_dirs, n_bins=n_bins, seed=seed
-    )
-    return ids, normalize(counts)
+    return ids, normalize(bin_counts(np.vstack(cols), owner, len(ids)))

@@ -32,7 +32,7 @@ from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, Stru
 
 from repro.baselines.equi import joinability
 from repro.core.grid import expand_ranges, leaf_coords
-from repro.core.pexeso import check_unit_rows
+from repro.core.pexeso import check_query
 from repro.core.pivots import pivot_map
 from repro.spark.worker import install_stat_checked_zip_invalidation, vector_rows
 
@@ -97,9 +97,10 @@ def matching_pairs(
     This is the mapping PEXESO presents to the user (§II-A) and the
     input to ML enrichment; ``blocked_joinability`` aggregates it.
     ``Q`` must be finite and unit-norm, as the blocking keys' fixed grid
-    extent assumes; otherwise ``ValueError`` is raised before any job.
+    extent assumes, and ``tau`` a number ≥ 0; otherwise ``ValueError`` is
+    raised before any job.
     """
-    check_unit_rows("Q", Q)
+    check_query(Q, tau)
     b = min(KEY_DIMS, len(pivots))
     Qp = pivot_map(Q, pivots)
     lo = leaf_coords(Qp[:, :b] - tau, KEY_LEVEL)

@@ -47,7 +47,7 @@ import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.pexeso import PexesoIndex, check_unit_rows
+from repro.core.pexeso import PexesoIndex, check_query
 from repro.partition.cluster import jsd_kmeans
 from repro.partition.histogram import bin_counts, normalize
 from repro.spark.worker import install_stat_checked_zip_invalidation, vector_rows
@@ -184,7 +184,6 @@ def distributed_search(
     *,
     n_pivots: int = 5,
     m: int = 4,
-    use_inverted: bool = True,
 ) -> DataFrame:
     """Search every partition with its own PEXESO; return joinable columns.
 
@@ -192,17 +191,18 @@ def distributed_search(
     Its indexes are built by the first search and reused by later ones
     (see :func:`partition_indexes`). Output: ``(col_id, n_matched,
     joinability)`` with joinability >= T. ``Q`` must be finite and
-    unit-norm (``ValueError`` before any job starts otherwise); it rides
-    to executors inside the UDF closure (it is the small side, per §II-A).
+    unit-norm and ``tau`` a number ≥ 0 (``ValueError`` before any job
+    starts otherwise); ``Q`` rides to executors inside the UDF closure
+    (it is the small side, per §II-A).
     """
-    check_unit_rows("Q", Q)
+    check_query(Q, tau)
     n_q = len(Q)
 
     def search_partitions(batches):
         install_stat_checked_zip_invalidation()
         for pdf in batches:
             for cols, blob in zip(pdf["cols"], pdf["index"]):
-                res = pickle.loads(blob).search(Q, tau, T, use_inverted=use_inverted)
+                res = pickle.loads(blob).search(Q, tau, T)
                 hit = sorted(res.joinable)
                 yield pd.DataFrame(
                     {

@@ -61,31 +61,35 @@ def test_ept_fewer_distances_than_scan(repo):
 
 
 # ---------- input outside the paper's assumptions ----------
-#: name → (build over X, search with Q at τ = 0.4, T_abs = 3)
+#: name → (build over X, search with Q at τ, T_abs = 3)
 _METRIC_BASELINES = {
-    "ctree": (BallTree, lambda ix, col, n, Q: ctree_search(ix, col, n, Q, 0.4, 3)),
+    "ctree": (BallTree, lambda ix, col, n, Q, tau: ctree_search(ix, col, n, Q, tau, 3)),
     "ept": (lambda X: PivotTable(X, n_pivots=4),
-            lambda ix, col, n, Q: ept_search(ix, col, n, Q, 0.4, 3)),
+            lambda ix, col, n, Q, tau: ept_search(ix, col, n, Q, tau, 3)),
     "pq": (lambda X: PQIndex(X, n_subspaces=4, n_codes=8),
-           lambda ix, col, n, Q: pq_search(ix, col, n, Q, 0.4, 3)),
+           lambda ix, col, n, Q, tau: pq_search(ix, col, n, Q, tau, 3)),
 }
 
 
 @pytest.mark.parametrize("method", sorted(_METRIC_BASELINES))
-@pytest.mark.parametrize("bad", ["nan", "non_unit"])
+@pytest.mark.parametrize("bad", ["nan", "non_unit", "nan_tau", "negative_tau"])
 def test_baselines_reject_bad_query(repo, method, bad):
     """A NaN row never matches, and a non-unit row leaves the unit sphere
-    the lake lives on: either would be answered silently wrong."""
+    the lake lives on: either would be answered silently wrong. So would
+    a NaN τ, which matches nothing."""
     Q, X, col, n_cols = repo
     build, search = _METRIC_BASELINES[method]
     index = build(X)
-    Q = Q.copy()
+    Q, tau = Q.copy(), 0.4
     if bad == "nan":
         Q[0, 0] = np.nan
-    else:
+    elif bad == "non_unit":
         Q *= 2.0
-    with pytest.raises(ValueError, match="finite and unit-norm"):
-        search(index, col, n_cols, Q)
+    else:
+        tau = np.nan if bad == "nan_tau" else -0.1
+    match = "tau must be" if bad.endswith("tau") else "finite and unit-norm"
+    with pytest.raises(ValueError, match=match):
+        search(index, col, n_cols, Q, tau)
 
 
 @pytest.mark.parametrize("method", sorted(_METRIC_BASELINES))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.pexeso import PexesoIndex
-from repro.partition.cluster import jsd_kmeans, random_partition
+from repro.partition.cluster import jsd_kmeans, random_partition, split_columns
 from repro.partition.histogram import histograms
 from tests.conftest import planted_repo
 
@@ -89,19 +89,11 @@ def test_fig7a_distance_computation_ordering(repo):
     assert px.n_distance < scan  # blocking must actually prune
 
 
-def _partitioned_distance_total(Q, col_vectors, assign, k, tau, T):
-    total = 0
-    for part in range(k):
-        cols = [c for c, p in assign.items() if p == part]
-        if not cols:
-            continue
-        X = np.vstack([col_vectors[c] for c in cols])
-        col_of = np.concatenate(
-            [np.full(len(col_vectors[c]), i) for i, c in enumerate(cols)]
-        )
-        engine = PexesoIndex(X, col_of, len(cols), n_pivots=3, m=3)
-        total += engine.search(Q, tau, T).n_distance
-    return total
+def _partitioned_distance_total(Q, col_vectors, assign, tau, T):
+    return sum(
+        PexesoIndex(X, col_of, len(cols), n_pivots=3, m=3).search(Q, tau, T).n_distance
+        for cols, X, col_of in split_columns(col_vectors, assign)
+    )
 
 
 def test_fig9_jsd_partitioning_not_worse_than_random(repo):
@@ -113,10 +105,10 @@ def test_fig9_jsd_partitioning_not_worse_than_random(repo):
     hists = dict(zip(*histograms(col_vectors)))
     k = 4
     jsd_total = _partitioned_distance_total(
-        Q, col_vectors, jsd_kmeans(hists, k, seed=1), k, 0.3, 0.4
+        Q, col_vectors, jsd_kmeans(hists, k, seed=1), 0.3, 0.4
     )
     rnd_total = _partitioned_distance_total(
-        Q, col_vectors, random_partition(hists, k, seed=1), k, 0.3, 0.4
+        Q, col_vectors, random_partition(hists, k, seed=1), 0.3, 0.4
     )
     # Allow slack: at test scale the effect is noisy, but JSD must not
     # be catastrophically worse.
@@ -128,20 +120,12 @@ def test_partitioned_union_equals_single_index(repo):
     Q, X, col, n_cols = repo
     tau, T = 0.3, 0.4
     single = PexesoIndex(X, col, n_cols, n_pivots=3, m=3).search(Q, tau, T)
-    col_vectors = {c: X[col == c] for c in range(n_cols)}
-    hists = dict(zip(*histograms({str(c): v for c, v in col_vectors.items()})))
-    assign = jsd_kmeans(hists, 3, seed=0)
+    col_vectors = {str(c): X[col == c] for c in range(n_cols)}
+    assign = jsd_kmeans(dict(zip(*histograms(col_vectors))), 3, seed=0)
     got = set()
-    for part in range(3):
-        cols = sorted(int(c) for c, p in assign.items() if p == part)
-        if not cols:
-            continue
-        Xp_ = np.vstack([col_vectors[c] for c in cols])
-        col_of = np.concatenate(
-            [np.full(len(col_vectors[c]), i) for i, c in enumerate(cols)]
-        )
-        eng = PexesoIndex(Xp_, col_of, len(cols), n_pivots=3, m=3)
-        got |= {cols[i] for i in eng.search(Q, tau, T).joinable}
+    for cols, X_part, col_of in split_columns(col_vectors, assign):
+        eng = PexesoIndex(X_part, col_of, len(cols), n_pivots=3, m=3)
+        got |= {int(cols[i]) for i in eng.search(Q, tau, T).joinable}
     assert got == single.joinable
 
 

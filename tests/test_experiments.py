@@ -3,6 +3,9 @@
 These exercise the exact code paths behind Tables III–VII at small
 scale, so the job scripts cannot rot.
 """
+import contextlib
+import os
+
 import numpy as np
 import pytest
 
@@ -107,12 +110,33 @@ def test_table7_format(eff_rows):
     assert "SWDC-lite" in txt and "20%" in txt
 
 
-def test_table7_outofcore_small():
+def test_table7_outofcore_small(monkeypatch, tmp_path):
+    """PEXESO alone writes one PEXESO file per partition and no other index."""
+    monkeypatch.setattr(table7.tempfile, "TemporaryDirectory",
+                        lambda: contextlib.nullcontext(str(tmp_path)))
     rows = table7.run_outofcore(
         methods=["PEXESO"], t_grid=[0.6], tau_grid=[0.06]
     )
     assert len(rows) == 1
     assert rows[0].dataset == "LWDC-lite" and rows[0].seconds > 0
+    files = os.listdir(tmp_path)
+    assert len(files) == table7.N_PARTS
+    assert all(f.endswith("_pexeso.pkl") for f in files)
+
+
+def test_table7_outofcore_loads_only_own_index(monkeypatch):
+    """Each method's timer unpickles its own index kind, once per partition."""
+    load, loaded = table7._load, []
+
+    def recording(path):
+        index = load(path)
+        loaded.append(type(index).__name__)
+        return index
+
+    monkeypatch.setattr(table7, "_load", recording)
+    table7.run_outofcore(t_grid=[0.6], tau_grid=[0.02])
+    kinds = ["BallTree", "PivotTable", "PexesoIndex", "PexesoIndex"]
+    assert loaded == [k for k in kinds for _ in range(table7.N_PARTS)]
 
 
 @pytest.fixture(scope="module")
@@ -134,13 +158,12 @@ def test_table7_outofcore_counts_distances(outofcore_rows):
 
 
 def test_table7_outofcore_disagreement_raises(monkeypatch):
-    search = table7._Indexes.search
+    build, search = table7._ENGINES["PEXESO-H"]
 
-    def drop_pexeso_h(self, method, *args):
-        hit, n_dist = search(self, method, *args)
-        return (set() if method == "PEXESO-H" else hit), n_dist
+    def drop_all(*args):
+        return set(), search(*args)[1]
 
-    monkeypatch.setattr(table7._Indexes, "search", drop_pexeso_h)
+    monkeypatch.setitem(table7._ENGINES, "PEXESO-H", (build, drop_all))
     with pytest.raises(AssertionError, match="disagree"):
         table7.run_outofcore(
             methods=["PEXESO-H", "PEXESO"], t_grid=[0.2], tau_grid=[0.08]

@@ -67,11 +67,16 @@ def test_child_coords_are_children():
 
 
 def test_boundary_value_clipped():
-    """A coordinate exactly at DOMAIN lands in the last cell, not out of range."""
+    """A coordinate exactly at DOMAIN lands in the last cell, not out of
+    range; so does a huge one, such as a query region's ``q' + τ`` at
+    τ = 1e300 or inf, which a cast to int64 before the clip wraps around."""
     Xp = np.array([[DOMAIN, 0.0], [0.0, DOMAIN]])
     hg = HierarchicalGrid(Xp, 2)
     assert np.all((hg.coords[2] >= 0) & (hg.coords[2] < 4))
     assert np.array_equal(leaf_coords(Xp, 2), [[3, 0], [0, 3]])
+    for big in (1e18, 1e19, 1e300, np.inf):
+        Xp = np.array([[big, -big], [-big, big]])
+        assert np.array_equal(leaf_coords(Xp, 2), [[3, 0], [0, 3]]), big
 
 
 def test_m_zero_rejected():
@@ -84,7 +89,7 @@ def test_n_cells_counts_all_levels():
     hg = HierarchicalGrid(Xp, 2)
     leaves = leaf_coords(Xp, 2)
     distinct = sum(len({tuple(c >> (2 - l)) for c in leaves}) for l in range(3))
-    assert hg.n_cells() == distinct
+    assert sum(hg.n_level(l) for l in range(hg.m + 1)) == distinct
 
 
 def test_empty_leaf_lookup():

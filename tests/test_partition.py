@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.partition.cluster import jsd_kmeans, random_partition
-from repro.partition.histogram import column_histogram, histograms
+from repro.partition.histogram import histograms
 from repro.partition.jsd import jsd, jsd_matrix, kld
 from tests.conftest import unit_rows
 
@@ -28,21 +28,21 @@ def _column_histograms(cols):
 
 # ---------- histograms ----------
 def test_histogram_is_probability():
-    h = column_histogram(unit_rows(100, 8))
-    assert h.shape == (32,)
-    assert h.sum() == pytest.approx(1.0)
-    assert np.all(h > 0)
+    _, H = histograms({"c": unit_rows(100, 8)})
+    assert H.shape == (1, 32)
+    assert H.sum() == pytest.approx(1.0)
+    assert np.all(H > 0)
 
 
 def test_histogram_deterministic():
     V = unit_rows(50, 8, seed=2)
-    assert np.allclose(column_histogram(V), column_histogram(V))
+    assert np.allclose(histograms({"c": V})[1], histograms({"c": V})[1])
 
 
 def test_similar_columns_similar_histograms():
-    cols = _clustered_columns()
-    same = jsd(column_histogram(cols["g0c0"]), column_histogram(cols["g0c1"]))
-    diff = jsd(column_histogram(cols["g0c0"]), column_histogram(cols["g1c0"]))
+    H = _column_histograms(_clustered_columns())
+    same = jsd(H["g0c0"], H["g0c1"])
+    diff = jsd(H["g0c0"], H["g1c0"])
     assert same < diff
 
 
@@ -75,7 +75,7 @@ def test_histograms_match_np_histogram(dim):
     ids, H = histograms(cols)
     for cid, h in zip(ids, H):
         assert np.array_equal(h, _np_histogram(cols[cid]))
-        assert np.array_equal(h, column_histogram(cols[cid]))
+        assert np.array_equal(h, histograms({cid: cols[cid]})[1][0])
 
 
 # ---------- JSD ----------

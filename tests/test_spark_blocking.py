@@ -132,10 +132,11 @@ def test_blocked_joinability_matches_duckdb_oracle(spark, setup, tiny_lake):
     )
 
 
-@pytest.mark.parametrize("tau", [0.05, 0.9])
+@pytest.mark.parametrize("tau", [0.05, 0.9, 1e300, np.inf])
 def test_query_region_size_does_not_change_answer(spark, setup, tiny_lake, tau):
     """On this lake, τ = 0.05 gives query regions of one to four key
-    cells (five queries touch one); τ = 0.9 gives 36 to 56 cells."""
+    cells (five queries touch one); τ = 0.9 gives 36 to 56 cells, and
+    τ = 1e300 or inf every cell."""
     pivots, _, blocked = setup
     got = blocked_joinability(spark, blocked, tiny_lake.query_vectors, pivots, tau)
     base = {r["col_id"]: r["n_matched"] for r in got.collect()}
@@ -150,18 +151,22 @@ def test_query_region_size_does_not_change_answer(spark, setup, tiny_lake, tau):
 
 
 @pytest.mark.parametrize("search", [matching_pairs, blocked_joinability])
-@pytest.mark.parametrize("bad", ["nan", "non_unit"])
+@pytest.mark.parametrize("bad", ["nan", "non_unit", "nan_tau", "negative_tau"])
 def test_rejects_bad_query(spark, setup, tiny_lake, search, bad):
     """A NaN row would fall into a clipped key cell and silently count as
-    unmatched; a non-unit row can fall outside the key grid's extent."""
+    unmatched; a non-unit row can fall outside the key grid's extent. A
+    NaN τ matches nothing, and a negative τ has no key range."""
     pivots, _, blocked = setup
-    Q = tiny_lake.query_vectors.copy()
+    Q, tau = tiny_lake.query_vectors.copy(), TAU
     if bad == "nan":
         Q[0, 0] = np.nan
-    else:
+    elif bad == "non_unit":
         Q *= 2.0
-    with pytest.raises(ValueError, match="finite and unit-norm"):
-        search(spark, blocked, Q, pivots, TAU)
+    else:
+        tau = np.nan if bad == "nan_tau" else -0.1
+    match = "tau must be" if bad.endswith("tau") else "finite and unit-norm"
+    with pytest.raises(ValueError, match=match):
+        search(spark, blocked, Q, pivots, tau)
 
 
 @pytest.mark.parametrize("search", [matching_pairs, blocked_joinability])

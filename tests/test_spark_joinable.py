@@ -107,22 +107,6 @@ def test_distributed_equals_single_node(repo_parts, tiny_lake, tau, T):
     assert got == {uniq[i] for i in truth_idx}
 
 
-def test_distributed_pexeso_h_same_answer(repo_parts, tiny_lake):
-    a = {
-        r["col_id"]
-        for r in distributed_search(
-            repo_parts, tiny_lake.query_vectors, 0.4, 0.4, m=3
-        ).collect()
-    }
-    b = {
-        r["col_id"]
-        for r in distributed_search(
-            repo_parts, tiny_lake.query_vectors, 0.4, 0.4, m=3, use_inverted=False
-        ).collect()
-    }
-    assert a == b
-
-
 def test_joinability_threshold_enforced(repo_parts, tiny_lake):
     out = distributed_search(repo_parts, tiny_lake.query_vectors, 0.4, 0.5, m=3)
     assert out.where(F.col("joinability") < 0.5 - 1e-9).count() == 0
@@ -209,14 +193,6 @@ def test_one_partition_equals_scan(spark, tiny_lake):
         assert _search_cols(one, tiny_lake, tau, T) == _exact_cols(tiny_lake, tau, T)
 
 
-def test_pexeso_h_on_built_index(repo_parts, tiny_lake):
-    _search_cols(repo_parts, tiny_lake, 0.5, 0.3)
-    built = partition_indexes(repo_parts, m=3)
-    got = _search_cols(repo_parts, tiny_lake, 0.5, 0.3, use_inverted=False)
-    assert partition_indexes(repo_parts, m=3) is built
-    assert got == _exact_cols(tiny_lake, 0.5, 0.3)
-
-
 def test_index_of_stopped_session_is_dropped(monkeypatch, repo_parts, tiny_lake):
     """Rows cached by a SparkContext since stopped went with it; unpersisting
     them through it would raise, so they are only dropped."""
@@ -231,15 +207,18 @@ def test_index_of_stopped_session_is_dropped(monkeypatch, repo_parts, tiny_lake)
     assert _search_cols(repo_parts, tiny_lake, 0.4, 0.4) == _exact_cols(tiny_lake, 0.4, 0.4)
 
 
-@pytest.mark.parametrize("bad", ["nan", "non_unit"])
+@pytest.mark.parametrize("bad", ["nan", "non_unit", "nan_tau", "negative_tau"])
 def test_rejects_bad_query(repo_parts, tiny_lake, bad):
-    Q = tiny_lake.query_vectors.copy()
+    Q, tau = tiny_lake.query_vectors.copy(), 0.4
     if bad == "nan":
         Q[0, 0] = np.nan
-    else:
+    elif bad == "non_unit":
         Q *= 2.0
-    with pytest.raises(ValueError, match="finite and unit-norm"):
-        distributed_search(repo_parts, Q, 0.4, 0.4, m=3)
+    else:
+        tau = np.nan if bad == "nan_tau" else -0.1
+    match = "tau must be" if bad.endswith("tau") else "finite and unit-norm"
+    with pytest.raises(ValueError, match=match):
+        distributed_search(repo_parts, Q, tau, 0.4, m=3)
 
 
 def test_rejects_empty_query(repo_parts, tiny_lake):

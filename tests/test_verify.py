@@ -150,8 +150,13 @@ def test_rejects_non_unit_query():
 
 
 def test_rejects_nan_query():
+    """A NaN row or a NaN τ would match nothing, silently; a negative τ
+    has no query region."""
     Q, X, col, n_cols = planted_repo(seed=12)
     idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
+    for tau in (np.nan, -0.1):
+        with pytest.raises(ValueError, match="tau must be"):
+            idx.search(Q, tau, 0.5)
     Q = Q.copy()
     Q[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
