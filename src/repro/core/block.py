@@ -50,8 +50,6 @@ def block(
     hg_s: HierarchicalGrid,
     Qp: np.ndarray,
     tau: float,
-    *,
-    use_quick_browsing: bool = True,
 ) -> BlockResult:
     """Run Algorithm 1 with quick browsing and return the pair sets."""
     if hg_q.m != hg_s.m:
@@ -99,9 +97,8 @@ def block(
         filtered = filtered | regions.filtered_on_pivot(lo, up, qp, qp, tau)
         matched = matched | regions.matched_on_pivot(up, qp, tau)
         same = same & (c == q_c.take(cq))
-    if use_quick_browsing:
-        filtered &= ~same
-        matched &= ~same
+    filtered &= ~same
+    matched &= ~same
     keep = matched | ~filtered
     qs.append(q[keep])
     leaves.append(cs[keep])

@@ -4,7 +4,8 @@
 pivot mapping → hierarchical grid over the mapped target vectors →
 inverted index. ``PexesoIndex.search`` runs the online pipeline for a
 query column: map the query, build ``HG_Q`` with the same ``m``, block
-(Algorithm 1 + quick browsing), verify (Algorithm 2).
+(Algorithm 1 + quick browsing), verify (Algorithm 2). ``PexesoIndex.pairs``
+blocks the same way and lists the matching record pairs instead.
 
 ``use_inverted=False`` at search time runs the same verifier without
 its per-vector pivot filters (Lemmas 1, 2 and 7): the cell scan of the
@@ -105,6 +106,15 @@ class PexesoIndex:
         self.index = InvertedIndex(self.grid, col.astype(np.int64, copy=False), Xp, x2)
 
     # -- online ----------------------------------------------------------
+    def _block(self, Q: np.ndarray, tau: float) -> tuple[np.ndarray, blockmod.BlockResult]:
+        """Check the query, map it, build ``HG_Q`` and block: (Q′, pairs)."""
+        if Q.ndim != 2 or Q.shape[1] != self.X.shape[1]:
+            raise ValueError(f"Q must have shape (n, {self.X.shape[1]}), got {Q.shape}")
+        check_query(Q, tau)
+        Qp = pivot_map(Q, self.pivots)
+        hg_q = HierarchicalGrid(Qp, self.m)
+        return Qp, blockmod.block(hg_q, self.grid, Qp, tau)
+
     def search(
         self,
         Q: np.ndarray,
@@ -112,21 +122,13 @@ class PexesoIndex:
         T: float,
         *,
         use_inverted: bool = True,
-        use_quick_browsing: bool = True,
         early_terminate: bool = True,
     ) -> SearchResult:
         """Find all columns joinable to the query column ``Q`` (Alg. 3)."""
         import time
 
-        if Q.ndim != 2 or Q.shape[1] != self.X.shape[1]:
-            raise ValueError(f"Q must have shape (n, {self.X.shape[1]}), got {Q.shape}")
-        check_query(Q, tau)
         t0 = time.perf_counter()
-        Qp = pivot_map(Q, self.pivots)
-        hg_q = HierarchicalGrid(Qp, self.m)
-        blocks = blockmod.block(
-            hg_q, self.grid, Qp, tau, use_quick_browsing=use_quick_browsing
-        )
+        Qp, blocks = self._block(Q, tau)
         t1 = time.perf_counter()
         T_abs = t_abs(T, len(Q))
         match, n_distance = verifymod.verify(
@@ -143,3 +145,19 @@ class PexesoIndex:
             block_seconds=t1 - t0,
             verify_seconds=t2 - t1,
         )
+
+    def pairs(self, Q: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """The record mapping (§II-A): every (query vector, row of ``X``) pair
+        with distance ≤ τ, as ``(q_idx, x_idx)``, with no early termination.
+        Sure rows need no distance; kept rows get verify's, so boundary pairs
+        round as in ``exact_scan.pairs``."""
+        Qp, blocks = self._block(Q, tau)
+        r, rq, _, sure, kept = verifymod.candidate_rows(blocks, self.index, Qp, tau, True)
+        kept &= ~sure
+        x = self.index.perm[r]
+        qk, xk, x2k = rq[kept], x[kept], self.index.x2[r[kept]]
+        hit = np.zeros(len(xk), dtype=bool)
+        bounds = np.searchsorted(qk, np.arange(len(Q) + 1)).tolist()
+        for q, a, b in zip(Q, bounds, bounds[1:]):
+            hit[a:b] = x2k[a:b] + q @ q - 2.0 * (self.X[xk[a:b]] @ q) <= tau * tau
+        return np.concatenate((rq[sure], qk[hit])), np.concatenate((x[sure], xk[hit]))

@@ -25,7 +25,29 @@ from repro.core.grid import expand_ranges
 from repro.core.inverted import InvertedIndex
 from repro.core.regions import lemma1_survives, lemma2_matches
 
-__all__ = ["verify"]
+__all__ = ["candidate_rows", "verify"]
+
+
+def candidate_rows(blocks: BlockResult, index: InvertedIndex, Qp: np.ndarray,
+                   tau: float, use_pivots: bool) -> tuple[np.ndarray, ...]:
+    """Verify's first step, shared with ``PexesoIndex.pairs``: per row under a
+    blocking pair, sorted by query vector, (leaf-ordered row, query vector,
+    tried, sure, kept). Tried rows are under candidate pairs; sure rows under
+    matching pairs or, with ``use_pivots``, Lemma 2 hits; kept rows are the
+    tried rows that pass Lemma 1 (all of them without ``use_pivots``)."""
+    ls = index.leaf_start
+    own, r = expand_ranges(ls[blocks.leaf], ls[blocks.leaf + 1])
+    rq = blocks.q[own]
+    sure = blocks.matched[own]
+    tried = ~sure
+    kept = tried.copy()
+    if use_pivots:
+        for xj, qj in zip(index.XpT, Qp.T):
+            x, q = xj.take(r), qj.take(rq)
+            if qj.min() <= tau:  # else no x'[j] >= 0 meets Lemma 2
+                sure |= lemma2_matches(x, q, tau)
+            kept &= lemma1_survives(x, q, tau)
+    return r, rq, tried, sure, kept
 
 
 def verify(
@@ -48,19 +70,9 @@ def verify(
     the counts are complete (exactness tests diff them with the scan).
     """
     n_q = len(Q)
-    ls = index.leaf_start
-    own, r = expand_ranges(ls[blocks.leaf], ls[blocks.leaf + 1])
-    rq = blocks.q[own]
+    r, rq, tried, sure, kept = candidate_rows(blocks, index, Qp, tau, use_pivots)
     key = rq * n_cols + index.col[r]
-    sure = blocks.matched[own]
-    kept = ~sure
-    tried_keys = np.unique(key[kept])
-    if use_pivots:
-        for xj, qj in zip(index.XpT, Qp.T):
-            x, q = xj.take(r), qj.take(rq)
-            if qj.min() <= tau:  # else no x'[j] >= 0 meets Lemma 2
-                sure |= lemma2_matches(x, q, tau)
-            kept &= lemma1_survives(x, q, tau)
+    tried_keys = np.unique(key[tried])
     sure_keys = np.unique(key[sure])
     kept &= ~np.isin(key, sure_keys)
     r, rq = r[kept], rq[kept]

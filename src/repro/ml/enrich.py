@@ -11,8 +11,8 @@ Record-level matching per method:
 - ``equi``    — raw string equality (Catalyst equi-join);
 - ``jaccard`` — token-set Jaccard ≥ θ (explode/join/groupBy dataflow);
 - ``fuzzy``   — char-3-gram Jaccard ≥ θ (same dataflow);
-- ``pexeso``  — embedding distance ≤ τ via the pivot-blocked vector
-  join (:mod:`repro.spark.blocking`).
+- ``pexeso``  — embedding distance ≤ τ: the record mapping of one
+  in-memory PEXESO index over the lake (``PexesoIndex.pairs``).
 """
 from __future__ import annotations
 
@@ -23,15 +23,20 @@ from pyspark.sql import functions as F
 
 from repro.baselines.fuzzy import char_ngrams
 from repro.baselines.jaccard import set_similarity, tokens
-from repro.core.pivots import select_pivots
+from repro.core.pexeso import PexesoIndex
 from repro.embedding.hashing import embed_many
 from repro.lake.generator import normalize
 from repro.ml.datasets import MLTask
-from repro.spark.blocking import build_blocked_repo, matching_pairs
 
 __all__ = ["record_pairs", "enrich", "METHODS"]
 
 METHODS = ["no-join", "equi", "jaccard", "fuzzy", "pexeso"]
+_SCHEMA = "col_id string, vec_id long, q_id long"
+
+
+def _embed(values: pd.Series) -> np.ndarray:
+    """The 50-d GloVe-like embedding of each normalized record value."""
+    return embed_many([normalize(v) for v in values], model="glove", dim=50)
 
 
 def _lake_pdf(task: MLTask) -> pd.DataFrame:
@@ -50,35 +55,20 @@ def record_pairs(
     *,
     theta: float = 0.5,
     tau: float = 0.5,
-    dim: int = 50,
 ) -> DataFrame:
     """(col_id, vec_id, q_id) matches between query records and lake rows."""
-    q_pdf = pd.DataFrame(
-        {
-            "q_id": np.arange(len(task.query)),
-            "q_value": task.query[task.key_col].astype(str),
-        }
-    )
+    q_values = task.query[task.key_col].astype(str)
+    q_pdf = pd.DataFrame({"q_id": np.arange(len(q_values)), "q_value": q_values})
     lake_pdf = _lake_pdf(task)
 
     if method == "no-join":
-        return spark.createDataFrame(
-            [], schema="col_id string, vec_id long, q_id long"
-        )
+        return spark.createDataFrame([], schema=_SCHEMA)
     if method == "pexeso":
-        vecs = embed_many(
-            [normalize(v) for v in lake_pdf["value"]], model="glove", dim=dim
-        )
-        lake_pdf["vec"] = [v.tolist() for v in vecs]
-        repo = spark.createDataFrame(lake_pdf)
-        pivots = select_pivots(vecs, min(3, dim), seed=0)
-        blocked = build_blocked_repo(repo, pivots)
-        Q = embed_many(
-            [normalize(v) for v in q_pdf["q_value"]], model="glove", dim=dim
-        )
-        return matching_pairs(spark, blocked, Q, pivots, tau).select(
-            "col_id", "vec_id", "q_id"
-        )
+        col_of, names = pd.factorize(lake_pdf["col_id"])
+        index = PexesoIndex(_embed(lake_pdf["value"]), col_of, len(names))
+        q_idx, x_idx = index.pairs(_embed(q_pdf["q_value"]), tau)
+        pdf = lake_pdf.iloc[x_idx][["col_id", "vec_id"]].assign(q_id=q_idx)
+        return spark.createDataFrame(pdf, schema=_SCHEMA)
     qdf = spark.createDataFrame(q_pdf)
     lake = spark.createDataFrame(lake_pdf)
     if method == "equi":
@@ -92,11 +82,7 @@ def record_pairs(
     raise ValueError(f"unknown method {method!r}")
 
 
-def enrich(
-    spark: SparkSession,
-    task: MLTask,
-    pairs: DataFrame,
-) -> tuple[pd.DataFrame, list[str], float]:
+def enrich(task: MLTask, pairs: DataFrame) -> tuple[pd.DataFrame, list[str], float]:
     """Left-join enrichment; returns (widened table, new cols, match rate).
 
     Match rate is the paper's "# Match": matched lake records over all

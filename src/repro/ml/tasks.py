@@ -109,7 +109,7 @@ def run_ml_task(
     for method in methods or METHODS:
         t0 = time.perf_counter()
         pairs = record_pairs(spark, task, method, theta=theta, tau=tau)
-        widened, new_cols, match_rate = enrich(spark, task, pairs)
+        widened, new_cols, match_rate = enrich(task, pairs)
         seconds = time.perf_counter() - t0
         feats = task.base_features + new_cols
         score = cross_validate(

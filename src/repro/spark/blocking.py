@@ -94,8 +94,9 @@ def matching_pairs(
 ) -> DataFrame:
     """All record-level matches (col_id, vec_id, q_id, d2) under τ.
 
-    This is the mapping PEXESO presents to the user (§II-A) and the
-    input to ML enrichment; ``blocked_joinability`` aggregates it.
+    This is the mapping PEXESO presents to the user (§II-A), as
+    ``PexesoIndex.pairs`` gives it in memory; ``blocked_joinability``
+    aggregates it.
     ``Q`` must be finite and unit-norm, as the blocking keys' fixed grid
     extent assumes, and ``tau`` a number ≥ 0; otherwise ``ValueError`` is
     raised before any job.

@@ -48,16 +48,6 @@ def test_matching_pairs_sound(tau):
             assert np.all(d <= tau + 1e-9)
 
 
-def test_quick_browsing_equivalent():
-    """Same pair *sets* with and without quick browsing."""
-    Q, X, Qp, Xp = _setup()
-    m, tau = 3, 0.4
-    hg_q, hg_s = HierarchicalGrid(Qp, m), HierarchicalGrid(Xp, m)
-    with_qb = block(hg_q, hg_s, Qp, tau, use_quick_browsing=True)
-    without = block(hg_q, hg_s, Qp, tau, use_quick_browsing=False)
-    assert _pairs(with_qb) == _pairs(without)
-
-
 def test_quick_browse_emits_shared_leaves():
     """Every query vector is paired, as a candidate, with the target leaf
     at its own leaf's coordinates, whenever that leaf exists."""

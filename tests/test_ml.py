@@ -4,8 +4,9 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.baselines import exact_scan
 from repro.ml.datasets import N_CATEGORIES, airbnb_lite, company_lite
-from repro.ml.enrich import METHODS, enrich, record_pairs
+from repro.ml.enrich import _embed, _lake_pdf, enrich, record_pairs
 from repro.ml.tasks import cross_validate
 from repro.oracle import assert_equivalent
 
@@ -88,6 +89,16 @@ def test_pexeso_pairs_superset_of_equi(spark, air):
     assert eq <= px
 
 
+@pytest.mark.parametrize("tau", [0.2, 0.5, 0.7])
+def test_pexeso_pairs_match_scan(spark, air, tau):
+    """PEXESO's record pairs are the brute-force scan's over the embedded lake."""
+    lake = _lake_pdf(air)
+    q, x = exact_scan.pairs(_embed(air.query[air.key_col].astype(str)), _embed(lake["value"]), tau)
+    want = zip(lake["col_id"].iloc[x], lake["vec_id"].iloc[x], q.tolist())
+    got = [tuple(r) for r in record_pairs(spark, air, "pexeso", tau=tau).collect()]
+    assert sorted(got) == sorted(want)
+
+
 def test_unknown_method_raises(spark, air):
     with pytest.raises(ValueError):
         record_pairs(spark, air, "nope")
@@ -101,7 +112,7 @@ def test_similarity_pairs_nonempty(spark, air, method):
 # ---------- enrichment ----------
 def test_enrich_no_join_keeps_table(spark, air):
     pairs = record_pairs(spark, air, "no-join")
-    widened, new_cols, rate = enrich(spark, air, pairs)
+    widened, new_cols, rate = enrich(air, pairs)
     assert rate == 0.0
     assert len(widened) == len(air.query)
     for c in new_cols:
@@ -110,7 +121,7 @@ def test_enrich_no_join_keeps_table(spark, air):
 
 def test_enrich_pexeso_fills_features(spark, air):
     pairs = record_pairs(spark, air, "pexeso", tau=0.5)
-    widened, new_cols, rate = enrich(spark, air, pairs)
+    widened, new_cols, rate = enrich(air, pairs)
     assert rate > 0.0
     assert len(new_cols) == 5 * 2  # 5 sales tables × 2 features
     filled = sum((widened[c] != 0).any() for c in new_cols)
@@ -118,8 +129,8 @@ def test_enrich_pexeso_fills_features(spark, air):
 
 
 def test_enrich_match_rate_monotone_in_tau(spark, air):
-    r_small = enrich(spark, air, record_pairs(spark, air, "pexeso", tau=0.2))[2]
-    r_large = enrich(spark, air, record_pairs(spark, air, "pexeso", tau=0.7))[2]
+    r_small = enrich(air, record_pairs(spark, air, "pexeso", tau=0.2))[2]
+    r_large = enrich(air, record_pairs(spark, air, "pexeso", tau=0.7))[2]
     assert r_large >= r_small
 
 
@@ -145,7 +156,7 @@ def test_enrichment_improves_regression(spark, air):
         spark, air.query, air.base_features, "price", "regression", n_folds=2
     )
     pairs = record_pairs(spark, air, "pexeso", tau=0.5)
-    widened, new_cols, _ = enrich(spark, air, pairs)
+    widened, new_cols, _ = enrich(air, pairs)
     enriched = cross_validate(
         spark, widened, air.base_features + new_cols, "price", "regression",
         n_folds=2,

@@ -10,6 +10,13 @@ from repro.core.pexeso import PexesoIndex, t_abs
 from tests.conftest import planted_repo, time_limit
 
 
+def assert_pairs_exact(idx, Q, X, tau):
+    """The index's record pairs are the scan's, each listed once."""
+    got = sorted(zip(*(a.tolist() for a in idx.pairs(Q, tau))))
+    assert len(set(got)) == len(got)
+    assert got == list(zip(*(a.tolist() for a in exact_scan.pairs(Q, X, tau))))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("tau", [0.15, 0.4, 0.7])
 @pytest.mark.parametrize("n_pivots,m", [(3, 2), (3, 4), (5, 3), (9, 8)])
@@ -41,14 +48,7 @@ def test_full_match_counts_exact(tau):
     res = idx.search(Q, tau, 0.5, early_terminate=False)
     counts = exact_scan.match_counts(Q, X, col, n_cols, tau)
     assert np.array_equal(res.match_counts, counts)
-
-
-def test_no_quick_browsing_same_answer():
-    Q, X, col, n_cols = planted_repo(seed=6)
-    idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3, seed=6)
-    a = idx.search(Q, 0.4, 0.4)
-    b = idx.search(Q, 0.4, 0.4, use_quick_browsing=False)
-    assert a.joinable == b.joinable
+    assert_pairs_exact(idx, Q, X, tau)
 
 
 def test_inverted_reduces_distance_computations():
@@ -123,6 +123,7 @@ def test_edge_thresholds_exact(tau, T, use_inverted):
     idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3, seed=7)
     truth = exact_scan.joinable_columns(Q, X, col, n_cols, tau, t_abs(T, len(Q)))
     assert idx.search(Q, tau, T, use_inverted=use_inverted).joinable == truth
+    assert_pairs_exact(idx, Q, X, tau)
 
 
 def test_rejects_non_unit_repository():
@@ -157,10 +158,14 @@ def test_rejects_nan_query():
     for tau in (np.nan, -0.1):
         with pytest.raises(ValueError, match="tau must be"):
             idx.search(Q, tau, 0.5)
+        with pytest.raises(ValueError, match="tau must be"):
+            idx.pairs(Q, tau)
     Q = Q.copy()
     Q[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         idx.search(Q, 0.4, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        idx.pairs(Q, 0.4)
 
 
 def test_rejects_query_of_other_dimension():
@@ -168,6 +173,8 @@ def test_rejects_query_of_other_dimension():
     idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
     with pytest.raises(ValueError, match="shape"):
         idx.search(Q[:, :-1], 0.4, 0.5)
+    with pytest.raises(ValueError, match="shape"):
+        idx.pairs(Q[:, :-1], 0.4)
 
 
 def test_rejects_empty_query():
