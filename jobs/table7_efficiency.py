@@ -1,5 +1,5 @@
 """Table VII job: efficiency grid (in-memory + out-of-core)."""
-from repro.experiments.table7 import format_table7, run_inmemory, run_outofcore
+from repro.experiments.table7 import METHODS, format_table7, run_inmemory, run_outofcore
 
 if __name__ == "__main__":
     rows = run_inmemory() + run_outofcore()
@@ -11,11 +11,12 @@ if __name__ == "__main__":
     for ds in sorted({r.dataset for r in rows}):
         by = {
             m: np.mean([r.seconds for r in rows if r.dataset == ds and r.method == m])
-            for m in ("CTREE", "EPT", "PEXESO-H", "PEXESO")
+            for m in METHODS
         }
         print(
-            f"{ds}: mean s — CTREE {by['CTREE']:.3f}, EPT {by['EPT']:.3f}, "
-            f"PEXESO-H {by['PEXESO-H']:.3f}, PEXESO {by['PEXESO']:.3f}; "
-            f"speedup vs slowest {max(by.values()) / by['PEXESO']:.1f}x, "
-            f"vs PEXESO-H {by['PEXESO-H'] / by['PEXESO']:.1f}x"
+            f"{ds}: mean s — "
+            + ", ".join(f"{m} {by[m]:.3f}" for m in METHODS)
+            + f"; PEXESO speedup vs slowest {max(by.values()) / by['PEXESO']:.1f}x, "
+            f"vs PEXESO-H {by['PEXESO-H'] / by['PEXESO']:.1f}x, "
+            f"vs SCAN {by['SCAN'] / by['PEXESO']:.2f}x"
         )

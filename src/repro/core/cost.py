@@ -14,16 +14,39 @@ modeled total cost is ``E(m) + α · |C(m)|`` with α the per-postings
 access cost relative to one distance computation. We evaluate the model
 on the integer grid ``m ∈ [1..m_max]`` (the paper uses gradient descent
 and rounds up; an integer sweep is exact for the same argmin).
+
+Choosing a plan per query column: the same Eq. 2 bound, taken on
+per-pivot marginal counts of the leaf cells (``leaf_marginals``, kept by
+the index), and the count the same marginals give under independent
+pivots predict how many rows the index plan touches. The index plan's
+seconds are predicted as a constant plus terms in those two counts (one
+of them times d), the scan's from |X|·d and |X|·|Q|·d.
+Its coefficients (``PLAN_COEF``) are fitted once by
+``jobs/calibrate_plan.py`` and checked in, so choosing reads no clock
+and a query column always gets the same plan.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core import block as blockmod
-from repro.core.grid import DOMAIN, HierarchicalGrid
+from repro.core.grid import DOMAIN, HierarchicalGrid, leaf_coords
 from repro.core.pivots import pivot_map, select_pivots
 
-__all__ = ["n_max_sqr", "expected_cost", "optimal_m"]
+__all__ = [
+    "n_max_sqr", "expected_cost", "optimal_m", "leaf_marginals", "region_rows",
+    "plan_features", "choose_plan", "PLANS", "PLAN_COEF",
+]
+
+#: The two ways to answer a query column: Algorithm 2 over the blocking
+#: output, or the exact GEMM scan of ``core/scan.py``.
+PLANS = ("index", "scan")
+#: Seconds per unit of each :func:`plan_features` term, fitted by
+#: ``jobs/calibrate_plan.py`` on a 4-core x86-64 host with one BLAS thread.
+PLAN_COEF = {
+    "index": (2.74e-3, 9.60e-9, 5.19e-9, 1.97e-9),
+    "scan": (2.08e-9, 3.72e-11),
+}
 
 
 def n_max_sqr(
@@ -94,3 +117,48 @@ def optimal_m(
         costs[m] = total
     best = min(costs, key=costs.get)
     return best, costs
+
+
+def leaf_marginals(grid: HierarchicalGrid) -> np.ndarray:
+    """Per pivot, the cumulative count of rows by leaf coordinate: row
+    ``j`` holds, at ``k``, the rows whose level-m coordinate on pivot
+    ``j`` is below ``k`` (|P| × (2^m + 1) integers)."""
+    m = grid.m
+    sizes = np.diff(grid.starts[m])
+    out = np.zeros((grid.dims, (1 << m) + 1), dtype=np.int64)
+    for j, c in enumerate(grid.coords[m].T):
+        np.cumsum(np.bincount(c, weights=sizes, minlength=1 << m).astype(np.int64),
+                  out=out[j, 1:])
+    return out
+
+
+def region_rows(marginals: np.ndarray, Qp: np.ndarray, tau: float) -> tuple[int, float]:
+    """Two predictions, summed over the query vectors, of the rows the
+    index plan touches, both from the rows whose leaf cell on pivot ``j``
+    meets ``[q'[j] − τ, q'[j] + τ]``: Eq. 2's bound, the fewest such rows
+    over the pivots, and the count expected if the pivots were
+    independent, |X| · Π_j (rows on pivot j / |X|)."""
+    m = (marginals.shape[1] - 1).bit_length() - 1  # 2^m + 1 entries per pivot
+    lo, hi = leaf_coords(Qp - tau, m), leaf_coords(Qp + tau, m) + 1
+    j = np.arange(Qp.shape[1])
+    rows = marginals[j, hi] - marginals[j, lo]
+    n = marginals[0, -1]
+    return int(rows.min(axis=1).sum()), float((n * np.prod(rows / n, axis=1)).sum())
+
+
+def plan_features(plan: str, n_q: int, n_x: int, dim: int,
+                  rows: tuple[int, float]) -> np.ndarray:
+    """The terms whose weighted sum is a plan's predicted seconds for a
+    query column of ``n_q`` vectors against ``n_x`` rows of dimension
+    ``dim``; ``rows`` is :func:`region_rows`' prediction."""
+    if plan == "index":
+        bound, est = rows
+        return np.array([1.0, bound, est, est * dim], dtype=float)
+    return np.array([n_x * dim, n_x * n_q * dim], dtype=float)
+
+
+def choose_plan(n_q: int, n_x: int, dim: int, rows: tuple[int, float]) -> str:
+    """The plan with the lower predicted seconds, its :func:`plan_features`
+    weighted by ``PLAN_COEF``; the index on a tie."""
+    t = {p: plan_features(p, n_q, n_x, dim, rows) @ np.asarray(PLAN_COEF[p]) for p in PLANS}
+    return "scan" if t["scan"] < t["index"] else "index"

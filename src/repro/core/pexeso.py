@@ -3,13 +3,16 @@
 ``PexesoIndex.build`` runs the offline pipeline: PCA pivot selection →
 pivot mapping → hierarchical grid over the mapped target vectors →
 inverted index. ``PexesoIndex.search`` runs the online pipeline for a
-query column: map the query, build ``HG_Q`` with the same ``m``, block
-(Algorithm 1 + quick browsing), verify (Algorithm 2). ``PexesoIndex.pairs``
-blocks the same way and lists the matching record pairs instead.
+query column: map the query, choose a plan, then either build ``HG_Q``
+with the same ``m``, block (Algorithm 1 + quick browsing) and verify
+(Algorithm 2) — the *index* plan — or run the exact GEMM scan of
+``core/scan.py`` — the *scan* plan. ``plan="auto"`` picks the plan with
+the lower cost predicted by ``core/cost.choose_plan``. ``PexesoIndex.pairs``
+lists the matching record pairs; it always runs the scan.
 
 ``use_inverted=False`` at search time runs the same verifier without
 its per-vector pivot filters (Lemmas 1, 2 and 7): the cell scan of the
-PEXESO-H baseline (§VI-A), with identical blocking.
+PEXESO-H baseline (§VI-A), with identical blocking. It is never planned.
 """
 from __future__ import annotations
 
@@ -19,6 +22,8 @@ import math
 import numpy as np
 
 from repro.core import block as blockmod
+from repro.core import cost
+from repro.core import scan as scanmod
 from repro.core import verify as verifymod
 from repro.core.grid import HierarchicalGrid
 from repro.core.inverted import InvertedIndex
@@ -53,7 +58,10 @@ def check_query(Q: np.ndarray, tau: float) -> None:
 
 def t_abs(T: float, n_query: int) -> int:
     """Absolute joinability threshold (§V): the fewest matches c ≥ 1 with
-    c / |Q| ≥ T − 1e-12, so a column with jn = T exactly is joinable."""
+    c / |Q| ≥ T − 1e-12, so a column with jn = T exactly is joinable.
+    Raises ``ValueError`` unless T is a number in [0, 1]."""
+    if not 0.0 <= T <= 1.0:
+        raise ValueError(f"T must be a number in [0, 1], got {T!r}")
     c = math.ceil(T * n_query)
     if (c - 1) / n_query >= T - 1e-12:  # T·|Q| rounded up past an integer
         c -= 1
@@ -62,7 +70,15 @@ def t_abs(T: float, n_query: int) -> int:
 
 @dataclass
 class SearchResult:
-    """Joinable columns plus the counters behind Tables VI/VII & Fig. 7a."""
+    """Joinable columns plus the counters behind Tables VI/VII & Fig. 7a.
+
+    Under the index plan every counter is Algorithm 2's. Under the scan
+    plan ``n_distance`` is |Q| · |X|, the distances the scan evaluates,
+    there are no blocking pairs (``n_candidates = n_match_pairs = 0``) and
+    ``match_counts`` are complete. ``block_seconds`` covers the checks,
+    the query's pivot mapping, the plan and blocking; ``verify_seconds``
+    covers verification or the scan.
+    """
 
     joinable: set[int]
     match_counts: np.ndarray
@@ -71,6 +87,7 @@ class SearchResult:
     n_match_pairs: int
     block_seconds: float = 0.0
     verify_seconds: float = 0.0
+    plan: str = "index"
 
 
 class PexesoIndex:
@@ -104,16 +121,20 @@ class PexesoIndex:
         Xp = pivot_map(X, self.pivots)
         self.grid = HierarchicalGrid(Xp, m)
         self.index = InvertedIndex(self.grid, col.astype(np.int64, copy=False), Xp, x2)
+        self.marginals = cost.leaf_marginals(self.grid)
 
     # -- online ----------------------------------------------------------
-    def _block(self, Q: np.ndarray, tau: float) -> tuple[np.ndarray, blockmod.BlockResult]:
-        """Check the query, map it, build ``HG_Q`` and block: (Q′, pairs)."""
+    def _check(self, Q: np.ndarray, tau: float) -> None:
+        """Raise ``ValueError`` unless ``Q`` and ``tau`` make a valid query."""
         if Q.ndim != 2 or Q.shape[1] != self.X.shape[1]:
             raise ValueError(f"Q must have shape (n, {self.X.shape[1]}), got {Q.shape}")
         check_query(Q, tau)
-        Qp = pivot_map(Q, self.pivots)
-        hg_q = HierarchicalGrid(Qp, self.m)
-        return Qp, blockmod.block(hg_q, self.grid, Qp, tau)
+
+    def _caller_order(self, a: np.ndarray) -> np.ndarray:
+        """A per-row array of the index, put back in ``X``'s row order."""
+        out = np.empty_like(a)
+        out[self.index.perm] = a
+        return out
 
     def search(
         self,
@@ -123,41 +144,64 @@ class PexesoIndex:
         *,
         use_inverted: bool = True,
         early_terminate: bool = True,
+        plan: str = "auto",
     ) -> SearchResult:
-        """Find all columns joinable to the query column ``Q`` (Alg. 3)."""
+        """Find all columns joinable to the query column ``Q`` (Alg. 3).
+
+        ``plan`` is "index" (Algorithm 2), "scan" (the exact GEMM scan) or
+        "auto" (the cheaper by ``cost.choose_plan``). PEXESO-H
+        (``use_inverted=False``) always runs the index plan; asking it for
+        the scan raises ``ValueError``.
+        """
         import time
 
+        if plan not in ("auto", *cost.PLANS):
+            raise ValueError(f"plan must be 'auto', 'index' or 'scan', got {plan!r}")
+        if plan == "scan" and not use_inverted:
+            raise ValueError("PEXESO-H (use_inverted=False) has no scan plan")
         t0 = time.perf_counter()
-        Qp, blocks = self._block(Q, tau)
-        t1 = time.perf_counter()
+        self._check(Q, tau)
         T_abs = t_abs(T, len(Q))
-        match, n_distance = verifymod.verify(
-            blocks, self.index, self.X, Q, Qp, tau, T_abs, self.n_cols,
-            use_pivots=use_inverted, early_terminate=early_terminate,
-        )
+        if not use_inverted:
+            plan = "index"
+        if plan != "scan":
+            Qp = pivot_map(Q, self.pivots)
+        if plan == "auto":
+            rows = cost.region_rows(self.marginals, Qp, tau)
+            plan = cost.choose_plan(len(Q), len(self.X), self.X.shape[1], rows)
+        if plan == "scan":
+            t1 = time.perf_counter()
+            ix = self.index
+            match = scanmod.match_counts(
+                self.X, self._caller_order(ix.x2), self._caller_order(ix.col),
+                self.n_cols, Q, tau,
+            )
+            n_distance, n_candidates, n_match_pairs = len(Q) * len(self.X), 0, 0
+        else:
+            blocks = blockmod.block(HierarchicalGrid(Qp, self.m), self.grid, Qp, tau)
+            t1 = time.perf_counter()
+            match, n_distance = verifymod.verify(
+                blocks, self.index, self.X, Q, Qp, tau, T_abs, self.n_cols,
+                use_pivots=use_inverted, early_terminate=early_terminate,
+            )
+            n_candidates, n_match_pairs = blocks.n_candidates(), blocks.n_matches()
         t2 = time.perf_counter()
         return SearchResult(
             joinable=set(np.flatnonzero(match >= T_abs).tolist()),
             match_counts=match,
             n_distance=n_distance,
-            n_candidates=blocks.n_candidates(),
-            n_match_pairs=blocks.n_matches(),
+            n_candidates=n_candidates,
+            n_match_pairs=n_match_pairs,
             block_seconds=t1 - t0,
             verify_seconds=t2 - t1,
+            plan=plan,
         )
 
     def pairs(self, Q: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
         """The record mapping (§II-A): every (query vector, row of ``X``) pair
-        with distance ≤ τ, as ``(q_idx, x_idx)``, with no early termination.
-        Sure rows need no distance; kept rows get verify's, so boundary pairs
-        round as in ``exact_scan.pairs``."""
-        Qp, blocks = self._block(Q, tau)
-        r, rq, _, sure, kept = verifymod.candidate_rows(blocks, self.index, Qp, tau, True)
-        kept &= ~sure
-        x = self.index.perm[r]
-        qk, xk, x2k = rq[kept], x[kept], self.index.x2[r[kept]]
-        hit = np.zeros(len(xk), dtype=bool)
-        bounds = np.searchsorted(qk, np.arange(len(Q) + 1)).tolist()
-        for q, a, b in zip(Q, bounds, bounds[1:]):
-            hit[a:b] = x2k[a:b] + q @ q - 2.0 * (self.X[xk[a:b]] @ q) <= tau * tau
-        return np.concatenate((rq[sure], qk[hit])), np.concatenate((x[sure], xk[hit]))
+        with distance ≤ τ, as ``(q_idx, x_idx)``, listed as
+        ``exact_scan.pairs`` lists them, sorted by query vector, then row.
+        It runs the scan: with no early termination to gain from, the index
+        plan was ~9× slower than ``exact_scan.pairs`` at Table V's τ = 0.5."""
+        self._check(Q, tau)
+        return scanmod.pairs(self.X, self._caller_order(self.index.x2), Q, tau)

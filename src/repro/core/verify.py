@@ -24,30 +24,9 @@ from repro.core.block import BlockResult
 from repro.core.grid import expand_ranges
 from repro.core.inverted import InvertedIndex
 from repro.core.regions import lemma1_survives, lemma2_matches
+from repro.core.scan import settle
 
-__all__ = ["candidate_rows", "verify"]
-
-
-def candidate_rows(blocks: BlockResult, index: InvertedIndex, Qp: np.ndarray,
-                   tau: float, use_pivots: bool) -> tuple[np.ndarray, ...]:
-    """Verify's first step, shared with ``PexesoIndex.pairs``: per row under a
-    blocking pair, sorted by query vector, (leaf-ordered row, query vector,
-    tried, sure, kept). Tried rows are under candidate pairs; sure rows under
-    matching pairs or, with ``use_pivots``, Lemma 2 hits; kept rows are the
-    tried rows that pass Lemma 1 (all of them without ``use_pivots``)."""
-    ls = index.leaf_start
-    own, r = expand_ranges(ls[blocks.leaf], ls[blocks.leaf + 1])
-    rq = blocks.q[own]
-    sure = blocks.matched[own]
-    tried = ~sure
-    kept = tried.copy()
-    if use_pivots:
-        for xj, qj in zip(index.XpT, Qp.T):
-            x, q = xj.take(r), qj.take(rq)
-            if qj.min() <= tau:  # else no x'[j] >= 0 meets Lemma 2
-                sure |= lemma2_matches(x, q, tau)
-            kept &= lemma1_survives(x, q, tau)
-    return r, rq, tried, sure, kept
+__all__ = ["verify"]
 
 
 def verify(
@@ -65,14 +44,26 @@ def verify(
 ) -> tuple[np.ndarray, int]:
     """Algorithm 2 over the blocking output: (match count per column,
     number of exact distances). ``X`` is in its original row order;
-    distances are ``|x|² + |q|² − 2x·q``, as in ``baselines.exact_scan``.
+    distances are ``|x|² + |q|² − 2x·q``, as in ``baselines.exact_scan``;
+    a distance within ``scan.BOUNDARY`` of τ² is settled as the oracle
+    rounds it (``scan.settle``).
     ``early_terminate=False`` disables the reach-T and Lemma-7 skips, so
     the counts are complete (exactness tests diff them with the scan).
     """
     n_q = len(Q)
-    r, rq, tried, sure, kept = candidate_rows(blocks, index, Qp, tau, use_pivots)
+    ls = index.leaf_start
+    own, r = expand_ranges(ls[blocks.leaf], ls[blocks.leaf + 1])
+    rq = blocks.q[own]
     key = rq * n_cols + index.col[r]
-    tried_keys = np.unique(key[tried])
+    sure = blocks.matched[own]
+    kept = ~sure
+    tried_keys = np.unique(key[kept])
+    if use_pivots:
+        for xj, qj in zip(index.XpT, Qp.T):
+            x, q = xj.take(r), qj.take(rq)
+            if qj.min() <= tau:  # else no x'[j] >= 0 meets Lemma 2
+                sure |= lemma2_matches(x, q, tau)
+            kept &= lemma1_survives(x, q, tau)
     sure_keys = np.unique(key[sure])
     kept &= ~np.isin(key, sure_keys)
     r, rq = r[kept], rq[kept]
@@ -88,6 +79,7 @@ def verify(
     done = np.zeros(n_cols, dtype=bool)  # joinable, or pruned by Lemma 7
     is_got = np.zeros(n_cols, dtype=bool)
     prune_bound = n_q - T_abs  # Lemma 7: mismatch > bound → never joinable
+    tau2 = tau * tau
     n_distance = 0
     for qi in range(n_q):
         a, b = q_rows[qi], q_rows[qi + 1]
@@ -96,11 +88,11 @@ def verify(
         if not (len(sc) or len(tc)):
             continue
         live = ~done[rcol[a:b]]
-        c, q = rcol[a:b][live], Q[qi]
-        d2 = rx2[a:b][live] + q @ q - 2.0 * (X[rx[a:b][live]] @ q)
+        c, q, x, x2 = rcol[a:b][live], Q[qi], rx[a:b][live], rx2[a:b][live]
+        d2 = x2 + q @ q - 2.0 * (X[x] @ q)
         n_distance += len(c)
         # A column repeated in ``got`` still counts once in ``match[got] += 1``.
-        got = np.concatenate((sc[~done[sc]], c[d2 <= tau * tau]))
+        got = np.concatenate((sc[~done[sc]], c[settle(d2, tau2, X, x2, q, x)]))
         is_got[got] = True
         missed = tc[~(done[tc] | is_got[tc])]
         is_got[got] = False

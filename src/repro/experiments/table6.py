@@ -48,7 +48,7 @@ def run_table6(*, datasets=("open", "swdc"), seed: int = 0) -> list[TuneRow]:
                 engine, idx_s = timed(
                     PexesoIndex, X, col, len(uniq), n_pivots=p, m=m
                 )
-                res = engine.search(Q, DEFAULT_TAU, DEFAULT_T)
+                res = engine.search(Q, DEFAULT_TAU, DEFAULT_T, plan="index")
                 rows.append(
                     TuneRow(
                         dataset=kind.upper() + "-lite",

@@ -1,10 +1,12 @@
-"""Table VII: search-time grid T × τ for CTREE, EPT, PEXESO-H, PEXESO.
+"""Table VII: search-time grid T × τ for CTREE, EPT, PEXESO-H, PEXESO, SCAN.
 
-Each method is one ``(build, search)`` entry of ``_ENGINES``; PEXESO-H
-and PEXESO share one build. A lake is a list of partitions holding one
-index per build; a method's timer loads only its own index of each
-partition in turn, searches it and merges the joinable sets, so each
-row's ``seconds`` is load plus search over the partitions.
+Each method is one ``(build, search)`` entry of ``_ENGINES``; PEXESO-H,
+PEXESO and SCAN share one build. PEXESO and PEXESO-H pin the index plan,
+so they time Algorithm 2; SCAN is the same index's exact GEMM scan
+(``plan="scan"``), the floor an index has to beat. A lake is a list of
+partitions holding one index per build; a method's timer loads only its
+own index of each partition in turn, searches it and merges the joinable
+sets, so each row's ``seconds`` is load plus search over the partitions.
 
 In-memory (OPEN-lite, SWDC-lite): one partition, its indexes held in
 memory. Out-of-core (LWDC-lite): ``N_PARTS`` partitions by the §IV JSD
@@ -73,8 +75,8 @@ def _with_t_abs(search):
     return lambda ix, col, n, Q, tau, T: search(ix, col, n, Q, tau, t_abs(T, len(Q)))
 
 
-def _pexeso_search(index, col, n_cols, Q, tau, T, *, use_inverted):
-    r = index.search(Q, tau, T, use_inverted=use_inverted)
+def _pexeso_search(index, col, n_cols, Q, tau, T, *, use_inverted=True, plan="index"):
+    r = index.search(Q, tau, T, use_inverted=use_inverted, plan=plan)
     return r.joinable, r.n_distance
 
 
@@ -84,7 +86,8 @@ _ENGINES = {
     "CTREE": (_ball_tree, _with_t_abs(ctree_search)),
     "EPT": (_pivot_table, _with_t_abs(ept_search)),
     "PEXESO-H": (_pexeso, partial(_pexeso_search, use_inverted=False)),
-    "PEXESO": (_pexeso, partial(_pexeso_search, use_inverted=True)),
+    "PEXESO": (_pexeso, _pexeso_search),
+    "SCAN": (_pexeso, partial(_pexeso_search, plan="scan")),
 }
 METHODS = list(_ENGINES)
 

@@ -12,13 +12,17 @@ Record-level matching per method:
 - ``jaccard`` — token-set Jaccard ≥ θ (explode/join/groupBy dataflow);
 - ``fuzzy``   — char-3-gram Jaccard ≥ θ (same dataflow);
 - ``pexeso``  — embedding distance ≤ τ: the record mapping of one
-  in-memory PEXESO index over the lake (``PexesoIndex.pairs``).
+  in-memory PEXESO index over the lake (``PexesoIndex.pairs``), with no
+  Spark job.
+
+Every method's pairs reach ``enrich`` as one pandas frame: the Spark
+methods' joins are collected once.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.baselines.fuzzy import char_ngrams
@@ -31,7 +35,7 @@ from repro.ml.datasets import MLTask
 __all__ = ["record_pairs", "enrich", "METHODS"]
 
 METHODS = ["no-join", "equi", "jaccard", "fuzzy", "pexeso"]
-_SCHEMA = "col_id string, vec_id long, q_id long"
+_COLUMNS = ["col_id", "vec_id", "q_id"]
 
 
 def _embed(values: pd.Series) -> np.ndarray:
@@ -55,35 +59,39 @@ def record_pairs(
     *,
     theta: float = 0.5,
     tau: float = 0.5,
-) -> DataFrame:
+) -> pd.DataFrame:
     """(col_id, vec_id, q_id) matches between query records and lake rows."""
     q_values = task.query[task.key_col].astype(str)
     q_pdf = pd.DataFrame({"q_id": np.arange(len(q_values)), "q_value": q_values})
     lake_pdf = _lake_pdf(task)
 
     if method == "no-join":
-        return spark.createDataFrame([], schema=_SCHEMA)
+        return pd.DataFrame(
+            {"col_id": pd.Series(dtype=object), "vec_id": pd.Series(dtype=np.int64),
+             "q_id": pd.Series(dtype=np.int64)}
+        )
     if method == "pexeso":
         col_of, names = pd.factorize(lake_pdf["col_id"])
         index = PexesoIndex(_embed(lake_pdf["value"]), col_of, len(names))
         q_idx, x_idx = index.pairs(_embed(q_pdf["q_value"]), tau)
         pdf = lake_pdf.iloc[x_idx][["col_id", "vec_id"]].assign(q_id=q_idx)
-        return spark.createDataFrame(pdf, schema=_SCHEMA)
+        return pdf.reset_index(drop=True)
     qdf = spark.createDataFrame(q_pdf)
     lake = spark.createDataFrame(lake_pdf)
     if method == "equi":
-        return lake.join(qdf, lake["value"] == qdf["q_value"]).select(
-            "col_id", "vec_id", "q_id"
-        )
-    if method in ("jaccard", "fuzzy"):
+        pairs = lake.join(qdf, lake["value"] == qdf["q_value"])
+    elif method in ("jaccard", "fuzzy"):
         grams = tokens if method == "jaccard" else char_ngrams
         sim = set_similarity(qdf, lake, grams)
-        return sim.where(F.col("sim") >= F.lit(theta)).select("col_id", "vec_id", "q_id")
-    raise ValueError(f"unknown method {method!r}")
+        pairs = sim.where(F.col("sim") >= F.lit(theta))
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return pairs.select(*_COLUMNS).toPandas()
 
 
-def enrich(task: MLTask, pairs: DataFrame) -> tuple[pd.DataFrame, list[str], float]:
-    """Left-join enrichment; returns (widened table, new cols, match rate).
+def enrich(task: MLTask, pairs_pdf: pd.DataFrame) -> tuple[pd.DataFrame, list[str], float]:
+    """Left-join enrichment of ``record_pairs``' frame; returns (widened
+    table, new cols, match rate).
 
     Match rate is the paper's "# Match": matched lake records over all
     lake records. Numeric attributes of matched rows are averaged per
@@ -91,7 +99,6 @@ def enrich(task: MLTask, pairs: DataFrame) -> tuple[pd.DataFrame, list[str], flo
     sparsity that hurts equi-join in Table V).
     """
     n_lake_rows = sum(len(t) for t in task.lake_tables.values())
-    pairs_pdf = pairs.toPandas()
     match_rate = (
         len(pairs_pdf[["col_id", "vec_id"]].drop_duplicates()) / n_lake_rows
         if n_lake_rows

@@ -2,7 +2,7 @@
 
 ``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
 over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
+Spark result, or a pandas frame collected from one). This catches wrong results from a rewritten plan or a
 custom operator — "it ran" is not "it is correct".
 
 ``tables`` may be Spark or pandas DataFrames; Spark inputs are
@@ -33,7 +33,7 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = spark_df.toPandas()
+    got = spark_df.toPandas() if isinstance(spark_df, DataFrame) else spark_df
     assert set(expected.columns) == set(got.columns), (
         f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"

@@ -47,7 +47,7 @@ import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.pexeso import PexesoIndex, check_query
+from repro.core.pexeso import PexesoIndex, check_query, t_abs
 from repro.partition.cluster import jsd_kmeans
 from repro.partition.histogram import bin_counts, normalize
 from repro.spark.worker import install_stat_checked_zip_invalidation, vector_rows
@@ -191,11 +191,13 @@ def distributed_search(
     Its indexes are built by the first search and reused by later ones
     (see :func:`partition_indexes`). Output: ``(col_id, n_matched,
     joinability)`` with joinability >= T. ``Q`` must be finite and
-    unit-norm and ``tau`` a number ≥ 0 (``ValueError`` before any job
-    starts otherwise); ``Q`` rides to executors inside the UDF closure
-    (it is the small side, per §II-A).
+    unit-norm, ``tau`` a number ≥ 0 and ``T`` a number in [0, 1]
+    (``ValueError`` before any job starts otherwise); ``Q`` rides to
+    executors inside the UDF closure (it is the small side, per §II-A).
+    Each partition's index plans its own search (``PexesoIndex.search``).
     """
     check_query(Q, tau)
+    t_abs(T, len(Q))
     n_q = len(Q)
 
     def search_partitions(batches):

@@ -2,7 +2,14 @@
 import numpy as np
 import pytest
 
-from repro.core.cost import expected_cost, n_max_sqr, optimal_m
+from repro.core.cost import (
+    expected_cost,
+    leaf_marginals,
+    n_max_sqr,
+    optimal_m,
+    region_rows,
+)
+from repro.core.grid import HierarchicalGrid, leaf_coords
 from repro.core.pivots import pivot_map, select_pivots
 from tests.conftest import planted_repo, unit_rows
 
@@ -50,3 +57,27 @@ def test_optimal_m_workload_sum():
     _, c2 = optimal_m(X, [(Q, 0.3), (Q, 0.3)], n_pivots=3, m_max=3)
     for m in c1:
         assert c2[m] == pytest.approx(2 * c1[m], rel=1e-9)
+
+
+def test_leaf_marginals_count_rows_below_each_coordinate():
+    X = unit_rows(500, 10, seed=4)
+    Xp = pivot_map(X, select_pivots(X, 4))
+    M = leaf_marginals(HierarchicalGrid(Xp, 3))
+    c = leaf_coords(Xp, 3)
+    assert M.shape == (4, 9)
+    for j in range(4):
+        assert M[j].tolist() == [int(np.sum(c[:, j] < k)) for k in range(9)]
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.1, 0.4, 2.5])
+def test_region_rows_bound_covers_the_region(tau):
+    """Eq. 2 at leaf resolution bounds the rows inside each query vector's
+    square region; with one pivot the independence estimate is that bound."""
+    Q, X, col, n_cols = planted_repo(seed=6)
+    P = select_pivots(X, 3)
+    Xp, Qp = pivot_map(X, P), pivot_map(Q, P)
+    bound, est = region_rows(leaf_marginals(HierarchicalGrid(Xp, 4)), Qp, tau)
+    inside = sum(int(np.all(np.abs(Xp - qp) <= tau, axis=1).sum()) for qp in Qp)
+    assert bound >= inside and 0 <= est <= bound
+    one = region_rows(leaf_marginals(HierarchicalGrid(Xp[:, :1], 4)), Qp[:, :1], tau)
+    assert one[1] == pytest.approx(one[0])

@@ -82,7 +82,7 @@ def test_fig7a_distance_computation_ordering(repo):
     Q, X, col, n_cols = repo
     engine = PexesoIndex(X, col, n_cols, n_pivots=5, m=4)
     tau, T = 0.3, 0.4
-    px = engine.search(Q, tau, T)
+    px = engine.search(Q, tau, T, plan="index")
     h = engine.search(Q, tau, T, use_inverted=False)
     scan = len(Q) * len(X)
     assert px.n_distance <= h.n_distance <= scan
@@ -91,7 +91,8 @@ def test_fig7a_distance_computation_ordering(repo):
 
 def _partitioned_distance_total(Q, col_vectors, assign, tau, T):
     return sum(
-        PexesoIndex(X, col_of, len(cols), n_pivots=3, m=3).search(Q, tau, T).n_distance
+        PexesoIndex(X, col_of, len(cols), n_pivots=3, m=3)
+        .search(Q, tau, T, plan="index").n_distance
         for cols, X, col_of in split_columns(col_vectors, assign)
     )
 
@@ -138,8 +139,9 @@ def test_pinned_counters(seed, n_pivots, m):
     for tau in (0.15, 0.4, 0.7):
         px_counts, h_counts, full = PINNED[seed, n_pivots, m, tau]
         for use_inverted, want in ((True, px_counts), (False, h_counts)):
-            res = idx.search(Q, tau, 0.5, use_inverted=use_inverted)
+            res = idx.search(Q, tau, 0.5, use_inverted=use_inverted, plan="index")
             got = (res.n_distance, res.n_candidates, res.n_match_pairs)
             assert got == want, (tau, use_inverted)
-            res = idx.search(Q, tau, 0.5, use_inverted=use_inverted, early_terminate=False)
+            res = idx.search(Q, tau, 0.5, use_inverted=use_inverted, early_terminate=False,
+                             plan="index")
             assert res.match_counts.tolist() == full, (tau, use_inverted)

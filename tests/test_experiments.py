@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.experiments import table3, table5, table6, table7
+from repro.experiments import plans, table3, table5, table6, table7
 from repro.experiments.common import TAU_FACTOR, lake_arrays, tau_abs, timed
 from repro.ml.datasets import airbnb_lite
 from repro.ml.enrich import METHODS
@@ -92,9 +92,9 @@ def eff_rows():
 
 
 def test_table7_exact_methods_agree(eff_rows):
-    # run_inmemory itself raises if CTREE/EPT/PEXESO-H/PEXESO disagree;
-    # reaching here means all 4 methods returned identical joinable sets.
-    assert len(eff_rows) == 2 * 2 * 4
+    # run_inmemory itself raises if CTREE/EPT/PEXESO-H/PEXESO/SCAN disagree;
+    # reaching here means all 5 methods returned identical joinable sets.
+    assert len(eff_rows) == 2 * 2 * len(table7.METHODS) == 2 * 2 * 5
 
 
 def test_table7_pexeso_fewest_distances(eff_rows):
@@ -135,13 +135,13 @@ def test_table7_outofcore_loads_only_own_index(monkeypatch):
 
     monkeypatch.setattr(table7, "_load", recording)
     table7.run_outofcore(t_grid=[0.6], tau_grid=[0.02])
-    kinds = ["BallTree", "PivotTable", "PexesoIndex", "PexesoIndex"]
+    kinds = ["BallTree", "PivotTable", "PexesoIndex", "PexesoIndex", "PexesoIndex"]
     assert loaded == [k for k in kinds for _ in range(table7.N_PARTS)]
 
 
 @pytest.fixture(scope="module")
 def outofcore_rows():
-    # run_outofcore raises if the four methods' merged joinable sets differ;
+    # run_outofcore raises if the five methods' merged joinable sets differ;
     # at T=20%, τ=8% the exact answer holds 184 LWDC-lite columns.
     return table7.run_outofcore(t_grid=[0.2], tau_grid=[0.08])
 
@@ -168,3 +168,24 @@ def test_table7_outofcore_disagreement_raises(monkeypatch):
         table7.run_outofcore(
             methods=["PEXESO-H", "PEXESO"], t_grid=[0.2], tau_grid=[0.08]
         )
+
+
+# ---------- scan-or-index calibration ----------
+def test_plan_fit_recovers_coefficients():
+    """Times made from known non-negative coefficients are fitted back."""
+    from repro.core import cost
+
+    want = {"index": (2e-3, 1e-8, 5e-9, 2e-9), "scan": (2e-9, 4e-11)}
+    g = np.random.default_rng(0)
+    samples = []
+    for _ in range(40):
+        n_q, n_x = int(g.integers(4, 90)), int(g.integers(1000, 60000))
+        dim = int(g.choice([50, 300]))
+        rows = (int(g.integers(1000, 500000)), float(g.uniform(100, 200000)))
+        t = {p: float(cost.plan_features(p, n_q, n_x, dim, rows) @ np.array(want[p]))
+             for p in cost.PLANS}
+        samples.append(plans.Sample("x", 0.02, n_q, n_x, dim, rows, t["index"], t["scan"],
+                                    0.0, "index"))
+    got = plans.fit(samples)
+    for p in cost.PLANS:
+        assert np.allclose(got[p], want[p], rtol=1e-6, atol=1e-15)

@@ -72,20 +72,14 @@ def test_equi_pairs_match_oracle(spark, air):
 
 
 def test_no_join_pairs_empty(spark, air):
-    assert record_pairs(spark, air, "no-join").count() == 0
+    assert len(record_pairs(spark, air, "no-join")) == 0
 
 
 def test_pexeso_pairs_superset_of_equi(spark, air):
     """Identical strings embed identically (d=0 ≤ τ), so the vector join
     must recover at least the distinct equi pairs."""
-    eq = {
-        (r["col_id"], r["vec_id"], r["q_id"])
-        for r in record_pairs(spark, air, "equi").collect()
-    }
-    px = {
-        (r["col_id"], r["vec_id"], r["q_id"])
-        for r in record_pairs(spark, air, "pexeso", tau=0.3).collect()
-    }
+    eq = set(record_pairs(spark, air, "equi").itertuples(index=False, name=None))
+    px = set(record_pairs(spark, air, "pexeso", tau=0.3).itertuples(index=False, name=None))
     assert eq <= px
 
 
@@ -95,8 +89,16 @@ def test_pexeso_pairs_match_scan(spark, air, tau):
     lake = _lake_pdf(air)
     q, x = exact_scan.pairs(_embed(air.query[air.key_col].astype(str)), _embed(lake["value"]), tau)
     want = zip(lake["col_id"].iloc[x], lake["vec_id"].iloc[x], q.tolist())
-    got = [tuple(r) for r in record_pairs(spark, air, "pexeso", tau=tau).collect()]
+    got = list(record_pairs(spark, air, "pexeso", tau=tau).itertuples(index=False, name=None))
     assert sorted(got) == sorted(want)
+
+
+def test_pexeso_pairs_start_no_spark_job(air):
+    """PEXESO's record pairs come from the numpy engine as a pandas frame;
+    no Spark session is needed."""
+    pairs = record_pairs(None, air, "pexeso", tau=0.3)
+    assert isinstance(pairs, pd.DataFrame)
+    assert list(pairs.columns) == ["col_id", "vec_id", "q_id"] and len(pairs) > 0
 
 
 def test_unknown_method_raises(spark, air):
@@ -106,7 +108,7 @@ def test_unknown_method_raises(spark, air):
 
 @pytest.mark.parametrize("method", ["jaccard", "fuzzy"])
 def test_similarity_pairs_nonempty(spark, air, method):
-    assert record_pairs(spark, air, method, theta=0.5).count() > 0
+    assert len(record_pairs(spark, air, method, theta=0.5)) > 0
 
 
 # ---------- enrichment ----------

@@ -225,3 +225,14 @@ def test_rejects_empty_query(repo_parts, tiny_lake):
     """An empty query column has no joinability, so it is rejected."""
     with pytest.raises(ValueError, match="at least one row"):
         distributed_search(repo_parts, tiny_lake.query_vectors[:0], 0.4, 0.4, m=3)
+
+
+@pytest.mark.parametrize("T", [np.nan, -0.1, 1.5])
+def test_rejects_bad_threshold(spark, repo_parts, tiny_lake, T):
+    """A NaN T or one outside [0, 1] is rejected before any job starts."""
+
+    def search():
+        with pytest.raises(ValueError, match="T must be"):
+            distributed_search(repo_parts, tiny_lake.query_vectors, 0.4, T, m=3)
+
+    assert _jobs_and_tasks(spark.sparkContext, f"bad-T-{T}", search) == (0, 0)

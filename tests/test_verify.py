@@ -26,7 +26,7 @@ def test_pexeso_exact(seed, tau, n_pivots, m, T):
     idx = PexesoIndex(X, col, n_cols, n_pivots=n_pivots, m=m, seed=seed)
     Ta = t_abs(T, len(Q))
     truth = exact_scan.joinable_columns(Q, X, col, n_cols, tau, Ta)
-    assert idx.search(Q, tau, T).joinable == truth
+    assert idx.search(Q, tau, T, plan="index").joinable == truth
 
 
 @pytest.mark.parametrize("tau", [0.2, 0.5])
@@ -45,7 +45,7 @@ def test_full_match_counts_exact(tau):
     """Without early termination the per-column counts are exact."""
     Q, X, col, n_cols = planted_repo(seed=5)
     idx = PexesoIndex(X, col, n_cols, n_pivots=4, m=3, seed=5)
-    res = idx.search(Q, tau, 0.5, early_terminate=False)
+    res = idx.search(Q, tau, 0.5, early_terminate=False, plan="index")
     counts = exact_scan.match_counts(Q, X, col, n_cols, tau)
     assert np.array_equal(res.match_counts, counts)
     assert_pairs_exact(idx, Q, X, tau)
@@ -55,7 +55,7 @@ def test_inverted_reduces_distance_computations():
     """The Fig. 7a claim: PEXESO computes far fewer distances than PEXESO-H."""
     Q, X, col, n_cols = planted_repo(seed=7, n_cols=40)
     idx = PexesoIndex(X, col, n_cols, n_pivots=5, m=4, seed=7)
-    with_inv = idx.search(Q, 0.3, 0.5)
+    with_inv = idx.search(Q, 0.3, 0.5, plan="index")
     naive = idx.search(Q, 0.3, 0.5, use_inverted=False)
     assert with_inv.n_distance < naive.n_distance
 
@@ -64,8 +64,8 @@ def test_early_termination_never_changes_answer():
     Q, X, col, n_cols = planted_repo(seed=8)
     idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3, seed=8)
     for T in (0.1, 0.4, 0.9):
-        et = idx.search(Q, 0.5, T).joinable
-        full = idx.search(Q, 0.5, T, early_terminate=False).joinable
+        et = idx.search(Q, 0.5, T, plan="index").joinable
+        full = idx.search(Q, 0.5, T, early_terminate=False, plan="index").joinable
         assert et == full
 
 
@@ -89,13 +89,13 @@ def test_empty_query_region_no_results():
     far = g.standard_normal((4, X.shape[1]))
     far /= np.linalg.norm(far, axis=1, keepdims=True)
     idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
-    assert idx.search(far, 0.01, 0.25).joinable == set()
+    assert idx.search(far, 0.01, 0.25, plan="index").joinable == set()
 
 
 def test_search_counters_populated():
     Q, X, col, n_cols = planted_repo(seed=10)
     idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
-    res = idx.search(Q, 0.4, 0.3)
+    res = idx.search(Q, 0.4, 0.3, plan="index")
     assert res.block_seconds >= 0 and res.verify_seconds >= 0
     assert res.n_candidates >= 0 and res.n_distance >= 0
 
@@ -110,7 +110,7 @@ def test_fewer_vectors_than_pivots(use_inverted):
     assert idx.pivots.shape[0] == 2
     for tau in (0.3, 1.2):
         truth = exact_scan.joinable_columns(Q, X, col, n_cols, tau, t_abs(0.1, len(Q)))
-        assert idx.search(Q, tau, 0.1, use_inverted=use_inverted).joinable == truth
+        assert idx.search(Q, tau, 0.1, use_inverted=use_inverted, plan="index").joinable == truth
 
 
 @pytest.mark.parametrize("use_inverted", [True, False])
@@ -122,7 +122,7 @@ def test_edge_thresholds_exact(tau, T, use_inverted):
     Q, X, col, n_cols = planted_repo(seed=7)
     idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3, seed=7)
     truth = exact_scan.joinable_columns(Q, X, col, n_cols, tau, t_abs(T, len(Q)))
-    assert idx.search(Q, tau, T, use_inverted=use_inverted).joinable == truth
+    assert idx.search(Q, tau, T, use_inverted=use_inverted, plan="index").joinable == truth
     assert_pairs_exact(idx, Q, X, tau)
 
 
@@ -214,15 +214,17 @@ def test_empty_columns_exact(use_inverted):
     idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3, seed=13)
     for tau in (0.2, 0.6):
         truth = exact_scan.joinable_columns(Q, X, col, n_cols, tau, t_abs(0.3, len(Q)))
-        assert idx.search(Q, tau, 0.3, use_inverted=use_inverted).joinable == truth
-        full = idx.search(Q, tau, 0.3, use_inverted=use_inverted, early_terminate=False)
+        assert idx.search(Q, tau, 0.3, use_inverted=use_inverted, plan="index").joinable == truth
+        full = idx.search(Q, tau, 0.3, use_inverted=use_inverted, early_terminate=False,
+                          plan="index")
         assert np.array_equal(full.match_counts, exact_scan.match_counts(Q, X, col, n_cols, tau))
 
 
 def test_accepts_narrow_integer_labels():
     Q, X, col, n_cols = planted_repo(seed=12)
-    a = PexesoIndex(X, col, n_cols, n_pivots=3, m=3).search(Q, 0.4, 0.5)
-    b = PexesoIndex(X, col.astype(np.int16), n_cols, n_pivots=3, m=3).search(Q, 0.4, 0.5)
+    a = PexesoIndex(X, col, n_cols, n_pivots=3, m=3).search(Q, 0.4, 0.5, plan="index")
+    b = PexesoIndex(X, col.astype(np.int16), n_cols, n_pivots=3, m=3).search(
+        Q, 0.4, 0.5, plan="index")
     assert a.joinable == b.joinable and a.n_distance == b.n_distance
 
 
@@ -238,7 +240,8 @@ def test_row_order_independent_of_column_order(seed, use_inverted):
     shuf = PexesoIndex(X[perm], col[perm], n_cols, n_pivots=5, m=3, seed=seed)
     for tau in (0.15, 0.4, 0.7):
         for early in (True, False):
-            a, b = (ix.search(Q, tau, 0.5, use_inverted=use_inverted, early_terminate=early)
+            a, b = (ix.search(Q, tau, 0.5, use_inverted=use_inverted, early_terminate=early,
+                              plan="index")
                     for ix in (base, shuf))
             assert a.joinable == b.joinable
             assert np.array_equal(a.match_counts, b.match_counts)
@@ -251,6 +254,6 @@ def test_index_keeps_one_row_order():
     Q, X, col, n_cols = planted_repo(seed=1)
     idx = PexesoIndex(X, col, n_cols, n_pivots=3, m=3)
     assert idx.index.perm is idx.grid.order
-    assert idx.search(Q, 0.4, 0.5).joinable == exact_scan.joinable_columns(
+    assert idx.search(Q, 0.4, 0.5, plan="index").joinable == exact_scan.joinable_columns(
         Q, X, col, n_cols, 0.4, t_abs(0.5, len(Q))
     )
