@@ -27,7 +27,10 @@ def select_pivots(X: np.ndarray, n_pivots: int, *, seed: int = 0) -> np.ndarray:
     absolute projection is picked — an outlier along that axis. At most
     one pivot is taken per distinct sample row, so fewer than
     ``n_pivots`` rows come back when the sample has fewer distinct rows.
+    Raises ``ValueError`` for an empty ``X`` or ``n_pivots < 1``.
     """
+    if n_pivots < 1:
+        raise ValueError(f"n_pivots must be at least 1, got {n_pivots!r}")
     if len(X) == 0:
         raise ValueError("cannot select pivots from an empty dataset")
     g = np.random.default_rng(seed)

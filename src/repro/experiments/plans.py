@@ -6,7 +6,7 @@ column over the nine cells of ROADMAP item 3: SWDC-lite, OPEN-lite and
 LWDC-lite, each one in-memory index (|P| = 5, m = 4), at raw τ ∈
 {2, 6, 8} % of the maximum distance and T = 60 %. :func:`fit` refits
 the coefficients from those times: a least-squares fit of each plan's
-relative error, with no negative coefficient.
+relative error.
 
 The query columns follow the benchmark's stream: the lake's planted
 query column, then copies of repository columns with a random share of
@@ -49,7 +49,7 @@ class Sample:
     n_q: int
     n_x: int
     dim: int
-    rows: tuple[int, float]  # cost.region_rows
+    rows: float  # cost.region_rows
     index_s: float
     scan_s: float
     auto_s: float
@@ -108,21 +108,17 @@ def measure(*, cells=CELLS, n_queries: int = 24, repeats: int = 3,
 
 
 def fit(samples: list[Sample]) -> dict[str, tuple[float, ...]]:
-    """Per plan, the coefficients ≥ 0 that minimise the squared relative
-    error of the predicted seconds; a term whose free fit is negative is
-    dropped (coefficient 0) and the rest refitted."""
+    """Per plan, the coefficients that minimise the squared relative error
+    of the predicted seconds. Raises ``ValueError`` if one is negative:
+    the model would then predict a cost that falls as its term grows."""
     out = {}
     for plan in cost.PLANS:
         t = np.array([s.index_s if plan == "index" else s.scan_s for s in samples])
         F = np.array([cost.plan_features(plan, s.n_q, s.n_x, s.dim, s.rows)
                       for s in samples]) / t[:, None]
-        live = np.ones(F.shape[1], dtype=bool)
-        while True:
-            c = np.zeros(F.shape[1])
-            c[live] = np.linalg.lstsq(F[:, live], np.ones(len(t)), rcond=None)[0]
-            if c.min() >= 0:
-                break
-            live[np.argmin(c)] = False
+        c = np.linalg.lstsq(F, np.ones(len(t)), rcond=None)[0]
+        if c.min() < 0:
+            raise ValueError(f"the {plan} plan fits a negative coefficient: {c.tolist()}")
         out[plan] = tuple(float(v) for v in c)
     return out
 

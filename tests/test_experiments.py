@@ -81,6 +81,9 @@ def test_table6_cost_model_m_in_range():
     best, costs = table6.cost_model_optimal_m(kind="swdc", m_max=6)
     assert 1 <= best <= 6
     assert min(costs.values()) == costs[best]
+    # §VI-D as EXPERIMENTS.md reports it: OPEN-lite's m* is the paper's analytic 5.
+    assert table6.cost_model_optimal_m(kind="open")[0] == 5
+    assert table6.cost_model_optimal_m(kind="swdc")[0] == 8
 
 
 # ---------- Table VII ----------
@@ -171,21 +174,32 @@ def test_table7_outofcore_disagreement_raises(monkeypatch):
 
 
 # ---------- scan-or-index calibration ----------
-def test_plan_fit_recovers_coefficients():
-    """Times made from known non-negative coefficients are fitted back."""
+def _plan_samples(want):
+    """Samples whose times are ``want``'s predicted seconds."""
     from repro.core import cost
 
-    want = {"index": (2e-3, 1e-8, 5e-9, 2e-9), "scan": (2e-9, 4e-11)}
     g = np.random.default_rng(0)
     samples = []
     for _ in range(40):
         n_q, n_x = int(g.integers(4, 90)), int(g.integers(1000, 60000))
         dim = int(g.choice([50, 300]))
-        rows = (int(g.integers(1000, 500000)), float(g.uniform(100, 200000)))
+        rows = float(g.uniform(100, 200000))
         t = {p: float(cost.plan_features(p, n_q, n_x, dim, rows) @ np.array(want[p]))
              for p in cost.PLANS}
         samples.append(plans.Sample("x", 0.02, n_q, n_x, dim, rows, t["index"], t["scan"],
                                     0.0, "index"))
-    got = plans.fit(samples)
-    for p in cost.PLANS:
+    return samples
+
+
+def test_plan_fit_recovers_coefficients():
+    """Times made from known non-negative coefficients are fitted back."""
+    want = {"index": (2e-3, 2e-9), "scan": (2e-9, 4e-11)}
+    got = plans.fit(_plan_samples(want))
+    for p in want:
         assert np.allclose(got[p], want[p], rtol=1e-6, atol=1e-15)
+
+
+def test_plan_fit_rejects_negative_coefficient():
+    """Times that fall as the index plan's rows grow do not make a model."""
+    with pytest.raises(ValueError, match="negative"):
+        plans.fit(_plan_samples({"index": (5e-2, -1e-10), "scan": (2e-9, 4e-11)}))

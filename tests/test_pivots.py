@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.ept import PivotTable
+from repro.core.pexeso import PexesoIndex
 from repro.core.pivots import pivot_map, select_pivots
 from repro.core.regions import lemma1_survives, lemma2_matches
 from tests.conftest import time_limit, unit_rows
@@ -40,6 +42,15 @@ def test_select_pivots_fewer_rows_than_pivots():
 def test_select_pivots_empty_raises():
     with pytest.raises(ValueError):
         select_pivots(np.zeros((0, 4)), 2)
+
+
+@pytest.mark.parametrize("n_pivots", [0, -1])
+def test_no_pivots_rejected_at_build(n_pivots):
+    X = unit_rows(50, 8)
+    with pytest.raises(ValueError, match="n_pivots"):
+        PexesoIndex(X, np.zeros(len(X), dtype=int), 1, n_pivots=n_pivots)
+    with pytest.raises(ValueError, match="n_pivots"):
+        PivotTable(X, n_pivots=n_pivots)
 
 
 def test_pivot_map_values():

@@ -88,6 +88,18 @@ def test_repository_larger_than_one_chunk(plan):
         assert_exact(idx, Q, X, col, 50, tau, plan, T=0.1)
 
 
+@pytest.mark.parametrize("plan", ["index", "auto"])
+@pytest.mark.parametrize("m", [16, 40])
+def test_deep_grid_exact_with_small_marginals(m, plan):
+    """The marginals stop at ``cost.MARGINAL_LEVEL``: a 40-level grid keeps
+    a few KiB of them and still answers exactly."""
+    Q, X, col, n_cols = planted_repo(seed=3)
+    idx = PexesoIndex(X, col, n_cols, n_pivots=5, m=m)
+    assert idx.marginals.nbytes <= 64 * 1024
+    for tau in (0.1, 0.4, 0.9):
+        assert_exact(idx, Q, X, col, n_cols, tau, plan)
+
+
 def test_plan_recorded_and_deterministic():
     Q, X, col, n_cols = planted_repo(seed=4)
     idx = PexesoIndex(X, col, n_cols, n_pivots=5, m=3)
