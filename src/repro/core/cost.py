@@ -52,8 +52,8 @@ PLANS = ("index", "scan")
 #: Seconds per unit of each :func:`plan_features` term, fitted by
 #: ``jobs/calibrate_plan.py`` on a 4-core x86-64 host with one BLAS thread.
 PLAN_COEF = {
-    "index": (3.876e-3, 2.238e-9),
-    "scan": (2.263e-9, 3.715e-11),
+    "index": (1.363e-3, 6.465e-10),
+    "scan": (4.582e-10, 1.839e-11),
 }
 
 

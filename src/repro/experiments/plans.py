@@ -71,13 +71,17 @@ def query_columns(kind: str, n: int, seed: int = 1) -> list[np.ndarray]:
 
 
 def _best(fns: dict, repeats: int) -> dict[str, float]:
-    """Best seconds of each call; the calls take turns, so a slow spell
-    of the host falls on all of them alike."""
-    best = dict.fromkeys(fns, float("inf"))
-    for _ in range(repeats):
-        for name, fn in fns.items():
+    """Best seconds of each call. The calls take turns, so a slow spell
+    of the host falls on all of them alike, and the turn order rotates on
+    each repeat, so no call always runs after the same one (a search
+    right after a scan finds the caches as the scan left them)."""
+    names = list(fns)
+    best = dict.fromkeys(names, float("inf"))
+    for r in range(repeats):
+        k = r % len(names)
+        for name in names[k:] + names[:k]:
             t0 = time.perf_counter()
-            fn()
+            fns[name]()
             best[name] = min(best[name], time.perf_counter() - t0)
     return best
 

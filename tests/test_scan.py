@@ -88,6 +88,20 @@ def test_repository_larger_than_one_chunk(plan):
         assert_exact(idx, Q, X, col, 50, tau, plan, T=0.1)
 
 
+@pytest.mark.parametrize("n_q", [1, 7, 9, 13, 14, 15])
+def test_padded_query_sizes(n_q):
+    """|Q| off a multiple of ``scan.PAD``: the zero rows padded onto Q never
+    show up as a match, a count or a query index."""
+    Q, X, col, n_cols = planted_repo(n_query=16, seed=11)
+    Q = Q[:n_q]
+    x2 = np.einsum("ij,ij->i", X, X)
+    for tau in (0.0, 0.3, 1.0, 2.5, np.inf):
+        assert np.array_equal(scan.match_counts(X, x2, col, n_cols, Q, tau),
+                              exact_scan.match_counts(Q, X, col, n_cols, tau))
+        got, oracle = scan.pairs(X, x2, Q, tau), exact_scan.pairs(Q, X, tau)
+        assert all(np.array_equal(a, b) for a, b in zip(got, oracle))
+
+
 @pytest.mark.parametrize("plan", ["index", "auto"])
 @pytest.mark.parametrize("m", [16, 40])
 def test_deep_grid_exact_with_small_marginals(m, plan):

@@ -1,9 +1,11 @@
 """Tests for the Catalyst-native pivot-blocking dataflow.
 
 Exactness is checked two independent ways: against the numpy engine's
-brute-force counts, and against a DuckDB SQL oracle that computes
-joinability with ``list_distance`` over the raw vectors.
+brute-force counts and record pairs, and against a DuckDB SQL oracle
+that computes joinability with ``list_distance`` over the raw vectors.
 """
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -130,6 +132,38 @@ def test_blocked_joinability_matches_duckdb_oracle(spark, setup, tiny_lake):
         lake=lake_pdf,
         q=q_pdf,
     )
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.45, 0.9])
+def test_matching_pairs_equal_exact_scan(spark, setup, tiny_lake, tau):
+    """The record pairs (q_id, col_id, vec_id) are exactly the brute-force
+    scan's. No pair lies within 1e-9 of τ², so the two sides cannot
+    agree only because both round a boundary pair the same way."""
+    pivots, _, blocked = setup
+    Q = tiny_lake.query_vectors
+    X, ids = tiny_lake.all_vectors()
+    d2 = ((Q[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1)
+    assert np.abs(d2 - tau * tau).min() > 1e-9
+    vec_id = np.concatenate([np.arange(len(c)) for c in tiny_lake.columns])
+    q_idx, x_idx = exact_scan.pairs(Q, X, tau)
+    want = set(zip(q_idx.tolist(), ids[x_idx].tolist(), vec_id[x_idx].tolist()))
+    got = matching_pairs(spark, blocked, Q, pivots, tau).collect()
+    assert len(got) == len(want)
+    assert {(r["q_id"], r["col_id"], r["vec_id"]) for r in got} == want
+
+
+def test_blocked_plan_shape(spark, setup, tiny_lake):
+    """The query side is broadcast: no sort-merge join, and the only
+    shuffle is the one that groups matches by column."""
+    pivots, _, blocked = setup
+    df = blocked_joinability(spark, blocked, tiny_lake.query_vectors, pivots, TAU)
+    df.collect()
+    # After an action the adaptive plan prints its final plan first.
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    plan = plan.split("== Initial Plan ==")[0]
+    assert "BroadcastHashJoin" in plan
+    assert "SortMergeJoin" not in plan
+    assert len(re.findall(r"(?<!Broadcast)Exchange ", plan)) == 1, plan
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.9, 1e300, np.inf])
