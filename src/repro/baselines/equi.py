@@ -31,8 +31,10 @@ def joinability(pairs: DataFrame, n_q: int) -> DataFrame:
     jn(Q, S) (§II-A) is the fraction of the ``n_q`` query records with
     at least one match in column S. Columns with zero matches are
     absent from the output (their joinability is 0). The distinct
-    query records are counted as the size of their set per column: one
-    shuffle, where ``countDistinct`` plans two.
+    query records are counted as the size of their set per column: at
+    most one shuffle, where ``countDistinct`` plans two, and none when
+    ``pairs`` is already partitioned by ``col_id``, as the blocked
+    join's are.
     """
     return (
         pairs.groupBy("col_id")

@@ -37,7 +37,8 @@ from repro.core.pivots import pivot_map, select_pivots
 
 __all__ = [
     "ALPHA", "MARGINAL_LEVEL", "expected_cost", "optimal_m", "leaf_marginals",
-    "region_counts", "region_rows", "plan_features", "choose_plan", "PLANS", "PLAN_COEF",
+    "region_counts", "region_rows", "plan_features", "predicted_seconds", "scan_surely_cheaper",
+    "choose_plan", "PLANS", "PLAN_COEF",
 ]
 
 #: α: the cost of one candidate pair's inverted-index access relative to
@@ -135,8 +136,20 @@ def plan_features(plan: str, n_q: int, n_x: int, dim: int, rows: float) -> np.nd
     return np.array([n_x * dim, n_x * n_q * dim], dtype=float)
 
 
+def predicted_seconds(plan: str, n_q: int, n_x: int, dim: int, rows: float) -> float:
+    """A plan's :func:`plan_features` weighted by ``PLAN_COEF``."""
+    return float(plan_features(plan, n_q, n_x, dim, rows) @ np.asarray(PLAN_COEF[plan]))
+
+
+def scan_surely_cheaper(n_q: int, n_x: int, dim: int) -> bool:
+    """Whether the scan's predicted seconds are below the index plan's
+    constant term. The index plan's other term is never negative, so
+    :func:`choose_plan` then picks the scan whatever ``rows`` is, and a
+    caller need not map the query to compute it."""
+    return predicted_seconds("scan", n_q, n_x, dim, 0.0) < PLAN_COEF["index"][0]
+
+
 def choose_plan(n_q: int, n_x: int, dim: int, rows: float) -> str:
-    """The plan with the lower predicted seconds, its :func:`plan_features`
-    weighted by ``PLAN_COEF``; the index on a tie."""
-    t = {p: plan_features(p, n_q, n_x, dim, rows) @ np.asarray(PLAN_COEF[p]) for p in PLANS}
+    """The plan with the lower predicted seconds; the index on a tie."""
+    t = {p: predicted_seconds(p, n_q, n_x, dim, rows) for p in PLANS}
     return "scan" if t["scan"] < t["index"] else "index"

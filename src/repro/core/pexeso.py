@@ -164,6 +164,8 @@ class PexesoIndex:
         T_abs = t_abs(T, len(Q))
         if not use_inverted:
             plan = "index"
+        if plan == "auto" and cost.scan_surely_cheaper(len(Q), len(self.X), self.X.shape[1]):
+            plan = "scan"  # what choose_plan picks, without mapping Q
         if plan != "scan":
             Qp = pivot_map(Q, self.pivots)
         if plan == "auto":

@@ -20,10 +20,26 @@ exercising the distributed-join shape the repro band asks for:
    and no lambda.
 4. **Verify** — exact Euclidean distance via ``zip_with``/``aggregate``
    on the original vectors, then :func:`repro.baselines.equi.joinability`
-   counts matched query vectors per column in one shuffle.
+   counts matched query vectors per column.
 
-Exactness: steps 2–4 never drop a true match (tested against the numpy
-engine and the DuckDB ``list_distance`` oracle).
+Steps 2 and 3 use ``regions.widened(τ)``, as the numpy engine's filters
+do: a vector's pivot coordinates are mapped in its own Arrow batch and
+the query's on the driver, and a product over another batch can round
+them apart in the last bits.
+
+Plan shape: :func:`build_blocked_repo` hash-partitions the repository by
+``col_id``. Cached, that partitioning is known to every query over it,
+and the broadcast hash join keeps it, so the per-column count runs as a
+partial and a final aggregate in the join's stage. A query is one
+``BroadcastHashJoin``, no shuffle ``Exchange`` and one stage over the
+repository; the broadcast collects the query frame in a small job of its
+own (tested).
+
+Exactness: steps 2 and 3 never drop a pair within τ (tested against the
+numpy engine and the DuckDB ``list_distance`` oracle). Step 4 sums
+``(a − c)²``, which rounds otherwise than the oracle's ``|x|² + |q|² −
+2x·q`` of ``baselines.exact_scan``, so a pair within ~1e-15 of τ², as
+near-duplicates are at τ = 0, can be decided the other way.
 """
 from __future__ import annotations
 
@@ -31,7 +47,6 @@ import operator
 from functools import reduce
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -41,6 +56,7 @@ from repro.baselines.equi import joinability
 from repro.core.grid import expand_ranges, leaf_coords
 from repro.core.pexeso import check_query
 from repro.core.pivots import pivot_map
+from repro.core.regions import widened
 from repro.spark.worker import install_stat_checked_zip_invalidation, vector_rows
 
 __all__ = ["build_blocked_repo", "matching_pairs", "blocked_joinability"]
@@ -57,6 +73,13 @@ _KEY_WEIGHT = np.int64(1) << (KEY_LEVEL * np.arange(KEY_DIMS, dtype=np.int64))
 _QUERY_SCHEMA = "q_id long, qvec array<double>, qp array<double>, cell long"
 
 
+def _list_rows(M: np.ndarray) -> pa.ListArray:
+    """The rows of a 2-D float64 matrix as one Arrow list array over its
+    buffer, with no per-value copy."""
+    offsets = np.arange(0, M.size + 1, M.shape[1], dtype=np.int32)
+    return pa.ListArray.from_arrays(offsets, np.ascontiguousarray(M).ravel())
+
+
 def build_blocked_repo(repo: DataFrame, pivots: np.ndarray) -> DataFrame:
     """Add pivot coordinates ``xp`` and blocking key ``cell`` to the repo.
 
@@ -65,6 +88,10 @@ def build_blocked_repo(repo: DataFrame, pivots: np.ndarray) -> DataFrame:
     expression but one product over a batch's ``vec`` buffer, read
     without pandas rows. A null ``vec``, or one whose length is not the
     pivots' dimension, raises ``ValueError``.
+
+    The output is hash-partitioned by ``col_id`` into the context's
+    default parallelism, so each column lies in one partition; cache it
+    (see the plan shape in the module notes).
     """
     b = min(KEY_DIMS, len(pivots))
     piv = pivots.copy()
@@ -73,10 +100,9 @@ def build_blocked_repo(repo: DataFrame, pivots: np.ndarray) -> DataFrame:
         install_stat_checked_zip_invalidation()
         for batch in batches:
             Xp = pivot_map(vector_rows(batch.column("vec"), piv.shape[1]), piv)
-            offsets = np.arange(0, Xp.size + 1, Xp.shape[1], dtype=np.int32)
             yield pa.RecordBatch.from_arrays(
                 batch.columns + [
-                    pa.ListArray.from_arrays(offsets, Xp.ravel()),
+                    _list_rows(Xp),
                     pa.array(leaf_coords(Xp[:, :b], KEY_LEVEL) @ _KEY_WEIGHT[:b]),
                 ],
                 names=batch.schema.names + ["xp", "cell"],
@@ -89,7 +115,8 @@ def build_blocked_repo(repo: DataFrame, pivots: np.ndarray) -> DataFrame:
             StructField("cell", LongType()),
         ]
     )
-    return repo.mapInArrow(add_cols, schema=schema)
+    n_parts = repo.sparkSession.sparkContext.defaultParallelism
+    return repo.mapInArrow(add_cols, schema=schema).repartition(n_parts, "col_id")
 
 
 def matching_pairs(
@@ -111,8 +138,10 @@ def matching_pairs(
     check_query(Q, tau)
     b = min(KEY_DIMS, len(pivots))
     Qp = pivot_map(Q, pivots)
-    lo = leaf_coords(Qp[:, :b] - tau, KEY_LEVEL)
-    hi = leaf_coords(Qp[:, :b] + tau, KEY_LEVEL) + 1
+    # The filters' τ: it allows for coordinates mapped in another batch.
+    reach = widened(tau)
+    lo = leaf_coords(Qp[:, :b] - reach, KEY_LEVEL)
+    hi = leaf_coords(Qp[:, :b] + reach, KEY_LEVEL) + 1
     # One row per (query vector, touched cell): the product of the
     # per-coordinate cell ranges, one coordinate at a time.
     q_id = np.arange(len(Q))
@@ -121,17 +150,15 @@ def matching_pairs(
         owner, c = expand_ranges(lo[q_id, j], hi[q_id, j])
         q_id, cell = q_id[owner], cell[owner] + c * _KEY_WEIGHT[j]
     qdf = spark.createDataFrame(
-        pd.DataFrame(
-            {"q_id": q_id, "qvec": Q[q_id].tolist(), "qp": Qp[q_id].tolist(),
-             "cell": cell}
-        ),
+        pa.table([pa.array(q_id), _list_rows(Q[q_id]), _list_rows(Qp[q_id]), pa.array(cell)],
+                 names=["q_id", "qvec", "qp", "cell"]),
         schema=_QUERY_SCHEMA,
     )
 
     joined = blocked_repo.join(F.broadcast(qdf), "cell")
     # Lemma 1 over all pivot dimensions: one comparison per pivot.
     survives = reduce(operator.and_, (
-        F.abs(F.col("xp")[j] - F.col("qp")[j]) <= F.lit(tau)
+        F.abs(F.col("xp")[j] - F.col("qp")[j]) <= F.lit(reach)
         for j in range(len(pivots))
     ))
     # Exact squared Euclidean distance, as a native expression.

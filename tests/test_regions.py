@@ -23,6 +23,19 @@ def test_boxes_disjoint_basic():
     assert not filtered(lo_a, up_a, np.array([0.5, 0.5]), np.array([2.0, 2.0]), 0.0)
 
 
+def test_rounding_bands():
+    """Filters test against a wider τ and matchers against a narrower one,
+    by the pivot coordinates' rounding; at τ = 0 nothing is a sure match,
+    and coordinates of one vector mapped twice (~1e-8 apart near a pivot)
+    still pass Lemma 1."""
+    for tau in (0.0, 1e-7, 0.3, 1.5):
+        assert regions.narrowed(tau) < tau < regions.widened(tau) <= tau + 3 * regions.PIVOT_ERR
+    assert regions.narrowed(0.0) == regions.narrowed(5e-7) == -np.inf
+    assert regions.lemma1_survives(np.array([1e-8]), np.array([0.0]), 0.0)
+    assert not regions.lemma2_matches(np.array([0.0]), np.array([0.0]), 0.0)
+    assert regions.widened(np.inf) == regions.narrowed(np.inf) == np.inf
+
+
 def test_touching_boxes_not_disjoint():
     a = (np.array([0.0]), np.array([1.0]))
     b = (np.array([1.0]), np.array([2.0]))

@@ -12,6 +12,9 @@ from repro.baselines import exact_scan
 from repro.core import cost, scan
 from repro.core.pexeso import PexesoIndex, t_abs
 from repro.core.pivots import pivot_map
+from repro.embedding.hashing import MAX_DISTANCE
+from repro.experiments import plans
+from repro.experiments.common import lake_arrays
 from tests.conftest import planted_repo, unit_rows
 
 #: The index plan is here too: at τ = 0 and at exactly distance τ it must
@@ -53,6 +56,29 @@ def test_zero_tau_with_duplicates(plan):
     col = np.arange(200) // 10
     idx = PexesoIndex(X, col, 20, n_pivots=3, m=3)
     assert_exact(idx, Q, X, col, 20, 0.0, plan, T=0.1)
+
+
+@pytest.mark.parametrize("kind", ["index", "pexeso-h", "scan"])
+def test_zero_tau_near_duplicates(kind):
+    """τ = 0 against copies of the query vectors, half of them moved by
+    ~1e-9: the oracle rounds many of these to d² ≤ 0, while their pivot
+    coordinates differ by up to ~1e-8, which a Lemma 1 test without a
+    rounding band dropped."""
+    g = np.random.default_rng(0)
+    Q = unit_rows(12, 16, seed=2)
+    X = unit_rows(600, 16, seed=1)
+    col = np.arange(600) // 20
+    for c in range(0, 30, 2):
+        V = Q + g.standard_normal(Q.shape) * 1e-9 * (c % 4 == 0)
+        X[c * 20:c * 20 + 12] = V / np.linalg.norm(V, axis=1, keepdims=True)
+    want = exact_scan.match_counts(Q, X, col, 30, 0.0)
+    assert want.sum() > 7 * 12  # some of the moved copies match too
+    idx = PexesoIndex(X, col, 30, n_pivots=5, m=4)
+    kw = {"use_inverted": False} if kind == "pexeso-h" else {"plan": kind}
+    for early_terminate in (True, False):
+        res = idx.search(Q, 0.0, 0.5, early_terminate=early_terminate, **kw)
+        assert res.joinable == set(np.flatnonzero(want >= t_abs(0.5, 12)).tolist())
+    assert res.match_counts.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("plan", PLANS)
@@ -126,6 +152,28 @@ def test_plan_recorded_and_deterministic():
         assert {r.n_distance for r in again} == {first.n_distance}
         rows = cost.region_rows(idx.marginals, pivot_map(Q, idx.pivots), tau)
         assert first.plan == cost.choose_plan(len(Q), len(X), X.shape[1], rows)
+
+
+def test_short_cut_keeps_the_plan_on_calibration_cells(monkeypatch):
+    """On every cell of ``experiments/plans``, the planned search takes the
+    plan ``choose_plan`` gives from the mapped query. Where the scan's
+    prediction is below the index plan's constant term (every SWDC-lite
+    column), it takes it without computing ``region_rows``."""
+    region_rows, calls = cost.region_rows, []
+    monkeypatch.setattr(cost, "region_rows", lambda *a: calls.append(1) or region_rows(*a))
+    for kind in dict.fromkeys(k for k, _ in plans.CELLS):
+        _, X, col, uniq = lake_arrays(kind)
+        idx = PexesoIndex(X, col, len(uniq), n_pivots=5, m=4)
+        for Q in plans.query_columns(kind, 12):
+            short = cost.scan_surely_cheaper(len(Q), len(X), X.shape[1])
+            assert short == (kind == "swdc")
+            for pct in (p for k, p in plans.CELLS if k == kind):
+                tau = pct * MAX_DISTANCE
+                rows = region_rows(idx.marginals, pivot_map(Q, idx.pivots), tau)
+                calls.clear()
+                assert idx.search(Q, tau, plans.T).plan == cost.choose_plan(
+                    len(Q), len(X), X.shape[1], rows)
+                assert len(calls) == (0 if short else 1)
 
 
 def test_auto_follows_the_cost_model(monkeypatch):

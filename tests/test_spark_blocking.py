@@ -152,18 +152,86 @@ def test_matching_pairs_equal_exact_scan(spark, setup, tiny_lake, tau):
     assert {(r["q_id"], r["col_id"], r["vec_id"]) for r in got} == want
 
 
+def _query_plan(df) -> str:
+    """The executed plan of ``df`` after an action, without the subtrees of
+    the cached relations it reads (they print the plan that built them)."""
+    # After an action the adaptive plan prints its final plan first.
+    lines = df._jdf.queryExecution().executedPlan().toString().split("== Initial Plan ==")[0]
+    kept, cached_at = [], None
+    for line in lines.splitlines():
+        at = len(line) - len(line.lstrip(" :|"))
+        if cached_at is not None and at > cached_at:
+            continue
+        cached_at = at if "InMemoryRelation" in line else None
+        kept.append(line)
+    return "\n".join(kept)
+
+
 def test_blocked_plan_shape(spark, setup, tiny_lake):
-    """The query side is broadcast: no sort-merge join, and the only
-    shuffle is the one that groups matches by column."""
+    """The query side is broadcast, and the blocked repository is cached
+    partitioned by column, so the per-column count needs no shuffle: the
+    query's own plan has one broadcast hash join and no shuffle
+    ``Exchange``, and its job runs one stage. (The broadcast collects the
+    query frame in a job of its own; the cached relation's set-up stage
+    is listed in the query's job as skipped.)"""
     pivots, _, blocked = setup
     df = blocked_joinability(spark, blocked, tiny_lake.query_vectors, pivots, TAU)
-    df.collect()
-    # After an action the adaptive plan prints its final plan first.
-    plan = df._jdf.queryExecution().executedPlan().toString()
-    plan = plan.split("== Initial Plan ==")[0]
-    assert "BroadcastHashJoin" in plan
+    sc = spark.sparkContext
+    sc.setJobGroup("blocked-plan-shape", "blocked query")
+    try:
+        df.collect()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    plan = _query_plan(df)
+    assert plan.count("BroadcastHashJoin") == 1, plan
     assert "SortMergeJoin" not in plan
-    assert len(re.findall(r"(?<!Broadcast)Exchange ", plan)) == 1, plan
+    assert len(re.findall(r"(?<!Broadcast)Exchange ", plan)) == 0, plan
+    st = sc.statusTracker()
+    ran = [
+        [s for s in st.getJobInfo(j).stageIds if st.getStageInfo(s).numCompletedTasks]
+        for j in st.getJobIdsForGroup("blocked-plan-shape")
+    ]
+    assert sorted(map(len, ran)) == [1, 1], ran  # the broadcast's, and the query's
+
+
+def test_blocked_repo_column_in_one_partition(spark, setup):
+    """Every column of the blocked repository lies in exactly one of the
+    context's default number of Spark partitions."""
+    _, _, blocked = setup
+    assert blocked.rdd.getNumPartitions() == spark.sparkContext.defaultParallelism
+    parts = blocked.select("col_id", F.spark_partition_id().alias("part")).distinct()
+    per_col = parts.groupBy("col_id").count().collect()
+    assert len(per_col) == blocked.select("col_id").distinct().count()
+    assert {r["count"] for r in per_col} == {1}
+
+
+def test_identical_vectors_across_batches(spark, setup, tiny_lake):
+    """τ = 0 finds every copy of a query vector although each copy's pivot
+    coordinates are mapped in a one-row batch and the query's in one batch
+    of all its vectors, which can round them apart in the last bits."""
+    pivots, repo, _ = setup
+    Q = tiny_lake.query_vectors
+    copies = spark.createDataFrame(
+        [("copies", i, "", q.tolist()) for i, q in enumerate(Q)], schema=repo.schema
+    ).repartition(len(Q))  # one row per partition, so one per Arrow batch
+    lake = repo.unionByName(copies)
+    blocked = build_blocked_repo(lake, pivots)
+    got = blocked_joinability(spark, blocked, Q, pivots, 0.0)
+    q_pdf = pd.DataFrame({"q_id": range(len(Q)), "qvec": [v.tolist() for v in Q]})
+    assert_equivalent(
+        got,
+        f"""
+        SELECT l.col_id,
+               count(DISTINCT q.q_id) AS n_matched,
+               count(DISTINCT q.q_id) / CAST({len(Q)} AS DOUBLE) AS joinability
+        FROM lake l JOIN q ON list_distance(
+            CAST(l.vec AS DOUBLE[]), CAST(q.qvec AS DOUBLE[])) <= 0
+        GROUP BY l.col_id
+        """,
+        lake=lake.select("col_id", "vec_id", "vec").toPandas(),
+        q=q_pdf,
+    )
+    assert {r["col_id"]: r["n_matched"] for r in got.collect()}["copies"] == len(Q)
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.9, 1e300, np.inf])
