@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pexeso import check_query, check_unit_rows
+from repro.baselines import exact_scan
+from repro.core.pexeso import check_labels, check_search, check_unit_rows, column_counts, t_abs
 
-__all__ = ["kmeans", "PQIndex", "pq_search", "calibrate_radius_scale"]
+__all__ = ["kmeans", "PQIndex", "calibrate_radius_scale"]
 
 
 def kmeans(
@@ -45,17 +46,22 @@ def kmeans(
 
 
 class PQIndex:
-    """Product quantizer + encoded database."""
+    """Product quantizer + encoded database. ``X`` and ``col_of_vector``
+    are checked as ``PexesoIndex`` checks them."""
 
     def __init__(
         self,
         X: np.ndarray,
+        col_of_vector: np.ndarray,
+        n_cols: int,
         *,
         n_subspaces: int = 5,
         n_codes: int = 32,
         seed: int = 0,
     ) -> None:
+        self.col = check_labels(X, col_of_vector, n_cols)
         check_unit_rows("X", X)
+        self.n_cols = n_cols
         dim = X.shape[1]
         if dim % n_subspaces != 0:
             raise ValueError(f"dim {dim} not divisible by {n_subspaces} subspaces")
@@ -80,28 +86,27 @@ class PQIndex:
             axis=1,
         )  # (n, n_subspaces)
 
-    def adc_table(self, q: np.ndarray) -> list[np.ndarray]:
-        """Squared distances from each query sub-vector to each centroid."""
-        return [
-            np.einsum(
-                "ij,ij->i",
-                self.codebooks[i] - q[i * self.ds : (i + 1) * self.ds],
-                self.codebooks[i] - q[i * self.ds : (i + 1) * self.ds],
-            )
-            for i in range(self.n_subspaces)
-        ]
-
     def estimated_d2(self, q: np.ndarray) -> np.ndarray:
-        """ADC estimated squared distance from q to every encoded vector."""
-        tables = self.adc_table(q)
+        """ADC estimated squared distance from q to every encoded vector: per
+        subspace, the squared distance from q's sub-vector to each centroid
+        (the lookup table), summed over the vector's codes."""
         est = np.zeros(len(self.codes))
-        for i in range(self.n_subspaces):
-            est += tables[i][self.codes[:, i]]
+        for i, codebook in enumerate(self.codebooks):
+            diff = codebook - q[i * self.ds : (i + 1) * self.ds]
+            est += np.einsum("ij,ij->i", diff, diff)[self.codes[:, i]]
         return est
 
     def range_query(self, q: np.ndarray, tau: float, scale: float) -> np.ndarray:
         """Approximate: vectors with estimated distance <= scale · τ."""
         return np.flatnonzero(self.estimated_d2(q) <= (scale * tau) ** 2)
+
+    def search(self, Q: np.ndarray, tau: float, T: float, *, scale: float = 1.0) -> set[int]:
+        """PQ workflow: one approximate range query per query vector; the
+        columns hit by at least T · |Q| of them."""
+        check_search(Q, tau, self.ds * self.n_subspaces)
+        T_abs = t_abs(T, len(Q))
+        match = column_counts(self.col, self.n_cols, (self.range_query(q, tau, scale) for q in Q))
+        return set(np.flatnonzero(match >= T_abs).tolist())
 
 
 def calibrate_radius_scale(
@@ -115,48 +120,15 @@ def calibrate_radius_scale(
 ) -> float:
     """Smallest radius scale whose range-query recall ≥ target.
 
-    Recall is measured against the exact range result over the sample
-    workload ``Q`` (the §VI-E procedure for PQ-75/PQ-85).
+    Recall is the share of the sample workload ``Q``'s true pairs
+    (``exact_scan.pairs``) that the range query returns (the §VI-E
+    procedure for PQ-75/PQ-85).
     """
     if scales is None:
         scales = np.linspace(0.5, 3.0, 26)
-    true_hits = []
-    for q in Q:
-        d = np.linalg.norm(X - q, axis=1)
-        true_hits.append(set(np.flatnonzero(d <= tau).tolist()))
+    qi, xi = exact_scan.pairs(Q, X, tau)
+    est = np.stack([pq.estimated_d2(q) for q in Q])[qi, xi]  # of the true pairs
     for scale in scales:
-        got, want = 0, 0
-        for q, truth in zip(Q, true_hits):
-            if not truth:
-                continue
-            hits = set(pq.range_query(q, tau, float(scale)).tolist())
-            got += len(hits & truth)
-            want += len(truth)
-        if want == 0 or got / want >= target_recall:
+        if len(est) == 0 or np.mean(est <= (float(scale) * tau) ** 2) >= target_recall:
             return float(scale)
     return float(scales[-1])
-
-
-def pq_search(
-    pq: PQIndex,
-    col_of_vector: np.ndarray,
-    n_cols: int,
-    Q: np.ndarray,
-    tau: float,
-    T_abs: int,
-    *,
-    scale: float = 1.0,
-) -> set[int]:
-    """PQ workflow: approximate range query per query vector."""
-    check_query(Q, tau)
-    counts = np.zeros(n_cols, dtype=np.int64)
-    joinable: set[int] = set()
-    for q in Q:
-        hits = pq.range_query(q, tau, scale)
-        for col in np.unique(col_of_vector[hits]).tolist():
-            if col in joinable:
-                continue
-            counts[col] += 1
-            if counts[col] >= T_abs:
-                joinable.add(col)
-    return joinable

@@ -16,6 +16,7 @@ PEXESO-H baseline (§VI-A), with identical blocking. It is never planned.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 import math
 
@@ -29,7 +30,8 @@ from repro.core.grid import HierarchicalGrid
 from repro.core.inverted import InvertedIndex
 from repro.core.pivots import pivot_map, select_pivots
 
-__all__ = ["SearchResult", "PexesoIndex", "check_query", "check_unit_rows", "t_abs"]
+__all__ = ["SearchResult", "PexesoIndex", "check_labels", "check_query", "check_search",
+           "check_unit_rows", "column_counts", "t_abs"]
 
 
 #: Largest accepted | |x|² − 1 | of an input row. The grid's fixed extent
@@ -56,6 +58,34 @@ def check_query(Q: np.ndarray, tau: float) -> None:
         raise ValueError(f"tau must be a number >= 0, got {tau!r}")
 
 
+def check_search(Q: np.ndarray, tau: float, dim: int) -> None:
+    """Raise ``ValueError`` unless ``Q`` has shape (n, ``dim``) and ``Q``
+    and ``tau`` pass :func:`check_query`: a search engine's query check."""
+    if Q.ndim != 2 or Q.shape[1] != dim:
+        raise ValueError(f"Q must have shape (n, {dim}), got {Q.shape}")
+    check_query(Q, tau)
+
+
+def check_labels(X: np.ndarray, col_of_vector: np.ndarray, n_cols: int) -> np.ndarray:
+    """Return ``col_of_vector`` as int64; raise ``ValueError`` unless it
+    gives each row of ``X`` an integer column label in ``[0, n_cols)``."""
+    col = np.asarray(col_of_vector)
+    if len(X) != len(col):
+        raise ValueError("X and col_of_vector must align")
+    if col.dtype.kind not in "iu" or not np.all((col >= 0) & (col < n_cols)):
+        raise ValueError(f"col_of_vector must hold integer labels in [0, {n_cols})")
+    return col.astype(np.int64, copy=False)
+
+
+def column_counts(col: np.ndarray, n_cols: int, hits: Iterable[np.ndarray]) -> np.ndarray:
+    """Per column, how many of ``hits`` (an iterable of row-index arrays,
+    one per query vector) hold a row of it; ``col`` labels the rows."""
+    counts = np.zeros(n_cols, dtype=np.int64)
+    for rows in hits:
+        counts[np.unique(col[rows])] += 1
+    return counts
+
+
 def t_abs(T: float, n_query: int) -> int:
     """Absolute joinability threshold (§V): the fewest matches c ≥ 1 with
     c / |Q| ≥ T − 1e-12, so a column with jn = T exactly is joinable.
@@ -77,14 +107,16 @@ class SearchResult:
     there are no blocking pairs (``n_candidates = n_match_pairs = 0``) and
     ``match_counts`` are complete. ``block_seconds`` covers the checks,
     the query's pivot mapping, the plan and blocking; ``verify_seconds``
-    covers verification or the scan.
+    covers verification or the scan. The CTREE and EPT baselines return
+    one with ``plan`` "ctree" or "ept", no blocking pairs and no seconds;
+    CTREE's counts are complete, EPT's stop at T_abs.
     """
 
     joinable: set[int]
     match_counts: np.ndarray
     n_distance: int
-    n_candidates: int
-    n_match_pairs: int
+    n_candidates: int = 0
+    n_match_pairs: int = 0
     block_seconds: float = 0.0
     verify_seconds: float = 0.0
     plan: str = "index"
@@ -108,11 +140,7 @@ class PexesoIndex:
         ``col_of_vector`` maps each row of ``X`` to its integer column
         index in ``[0, n_cols)``; other labels raise ``ValueError``.
         """
-        col = np.asarray(col_of_vector)
-        if len(X) != len(col):
-            raise ValueError("X and col_of_vector must align")
-        if col.dtype.kind not in "iu" or not np.all((col >= 0) & (col < n_cols)):
-            raise ValueError(f"col_of_vector must hold integer labels in [0, {n_cols})")
+        col = check_labels(X, col_of_vector, n_cols)
         x2 = check_unit_rows("X", X)
         self.X = X
         self.n_cols = n_cols
@@ -120,16 +148,10 @@ class PexesoIndex:
         self.pivots = select_pivots(X, n_pivots, seed=seed)
         Xp = pivot_map(X, self.pivots)
         self.grid = HierarchicalGrid(Xp, m)
-        self.index = InvertedIndex(self.grid, col.astype(np.int64, copy=False), Xp, x2)
+        self.index = InvertedIndex(self.grid, col, Xp, x2)
         self.marginals = cost.leaf_marginals(self.grid)
 
     # -- online ----------------------------------------------------------
-    def _check(self, Q: np.ndarray, tau: float) -> None:
-        """Raise ``ValueError`` unless ``Q`` and ``tau`` make a valid query."""
-        if Q.ndim != 2 or Q.shape[1] != self.X.shape[1]:
-            raise ValueError(f"Q must have shape (n, {self.X.shape[1]}), got {Q.shape}")
-        check_query(Q, tau)
-
     def _caller_order(self, a: np.ndarray) -> np.ndarray:
         """A per-row array of the index, put back in ``X``'s row order."""
         out = np.empty_like(a)
@@ -160,7 +182,7 @@ class PexesoIndex:
         if plan == "scan" and not use_inverted:
             raise ValueError("PEXESO-H (use_inverted=False) has no scan plan")
         t0 = time.perf_counter()
-        self._check(Q, tau)
+        check_search(Q, tau, self.X.shape[1])
         T_abs = t_abs(T, len(Q))
         if not use_inverted:
             plan = "index"
@@ -205,5 +227,5 @@ class PexesoIndex:
         ``exact_scan.pairs`` lists them, sorted by query vector, then row.
         It runs the scan: with no early termination to gain from, the index
         plan was ~9× slower than ``exact_scan.pairs`` at Table V's τ = 0.5."""
-        self._check(Q, tau)
+        check_search(Q, tau, self.X.shape[1])
         return scanmod.pairs(self.X, self._caller_order(self.index.x2), Q, tau)

@@ -26,7 +26,7 @@ from pyspark.sql import functions as F
 from repro.baselines.equi import query_df
 from repro.baselines.fuzzy import char_ngrams
 from repro.baselines.jaccard import set_similarity, tokens
-from repro.baselines.pq import PQIndex, calibrate_radius_scale, pq_search
+from repro.baselines.pq import PQIndex, calibrate_radius_scale
 from repro.core.pexeso import PexesoIndex, t_abs
 from repro.experiments.common import (
     PAPER_TAU_GRID,
@@ -119,7 +119,7 @@ def run_table4(spark: SparkSession, *, seeds=SEEDS) -> dict[str, dict[str, PR]]:
 
     Each PR's ``seconds`` is one retrieval at that operating point: the
     Spark job behind every threshold of equi/Jaccard/fuzzy, one
-    ``PexesoIndex.search``, one PQ-85 ``pq_search``.
+    ``PexesoIndex.search``, one PQ-85 ``PQIndex.search``.
     """
     results: dict[str, dict[str, PR]] = {}
     for ds_name, kind in [("OPEN", "open"), ("SWDC", "swdc")]:
@@ -181,11 +181,9 @@ def run_table4(spark: SparkSession, *, seeds=SEEDS) -> dict[str, dict[str, PR]]:
             # mode Table IV demonstrates; nanopq-by-default-on-8.6M-
             # vector lakes operates at comparable relative distortion.
             n_sub = 6 if X.shape[1] % 6 == 0 else 5
-            pq = PQIndex(X, n_subspaces=n_sub, n_codes=8, seed=seed)
+            pq = PQIndex(X, col, len(uniq), n_subspaces=n_sub, n_codes=8, seed=seed)
             scale = calibrate_radius_scale(pq, X, Q, tau, 0.85)
-            joinable, pq_s = timed(
-                pq_search, pq, col, len(uniq), Q, tau, t_abs(T, len(Q)), scale=scale
-            )
+            joinable, pq_s = timed(pq.search, Q, tau, T, scale=scale)
             prs.append(_pr({uniq[i] for i in joinable}, truth, pq_s))
         results[ds_name]["our join with PQ-85"] = _mean(prs)
     return results

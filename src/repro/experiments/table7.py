@@ -1,12 +1,13 @@
 """Table VII: search-time grid T × τ for CTREE, EPT, PEXESO-H, PEXESO, SCAN.
 
-Each method is one ``(build, search)`` entry of ``_ENGINES``; PEXESO-H,
-PEXESO and SCAN share one build. PEXESO and PEXESO-H pin the index plan,
-so they time Algorithm 2; SCAN is the same index's exact GEMM scan
-(``plan="scan"``), the floor an index has to beat. A lake is a list of
-partitions holding one index per build; a method's timer loads only its
-own index of each partition in turn, searches it and merges the joinable
-sets, so each row's ``seconds`` is load plus search over the partitions.
+Each method is one ``(engine class, search keywords)`` entry of
+``_ENGINES``; PEXESO-H, PEXESO and SCAN share one ``PexesoIndex``.
+PEXESO and PEXESO-H run the index plan, so they time Algorithm 2; SCAN
+is the same index's exact GEMM scan (``plan="scan"``), the floor an
+index has to beat. A lake is a list of partitions holding one index per
+engine class; a method's timer loads only its own index of each
+partition in turn, searches it and merges the joinable sets, so each
+row's ``seconds`` is load plus search over the partitions.
 
 In-memory (OPEN-lite, SWDC-lite): one partition, its indexes held in
 memory. Out-of-core (LWDC-lite): ``N_PARTS`` partitions by the §IV JSD
@@ -30,9 +31,9 @@ from functools import partial
 
 import numpy as np
 
-from repro.baselines.cover_tree import BallTree, ctree_search
-from repro.baselines.ept import PivotTable, ept_search
-from repro.core.pexeso import PexesoIndex, t_abs
+from repro.baselines.cover_tree import BallTree
+from repro.baselines.ept import PivotTable
+from repro.core.pexeso import PexesoIndex
 from repro.experiments.common import (
     PAPER_T_GRID,
     PAPER_TAU_GRID,
@@ -58,36 +59,14 @@ class EffRow:
     n_distance: int
 
 
-def _ball_tree(X, col, n_cols) -> BallTree:
-    return BallTree(X)
-
-
-def _pivot_table(X, col, n_cols) -> PivotTable:
-    return PivotTable(X, n_pivots=5)
-
-
-def _pexeso(X, col, n_cols) -> PexesoIndex:
-    return PexesoIndex(X, col, n_cols, n_pivots=5, m=4)
-
-
-def _with_t_abs(search):
-    """A baseline's search, given T as a share of |Q| like the others."""
-    return lambda ix, col, n, Q, tau, T: search(ix, col, n, Q, tau, t_abs(T, len(Q)))
-
-
-def _pexeso_search(index, col, n_cols, Q, tau, T, *, use_inverted=True, plan="index"):
-    r = index.search(Q, tau, T, use_inverted=use_inverted, plan=plan)
-    return r.joinable, r.n_distance
-
-
-#: method → (build(X, col, n_cols), search(index, col, n_cols, Q, tau, T)),
-#: where search returns (joinable column indexes, distance computations).
+#: method → (engine class, search keywords). Each engine is built as
+#: ``cls(X, col_of_vector, n_cols)`` and searched as ``search(Q, tau, T, **kw)``.
 _ENGINES = {
-    "CTREE": (_ball_tree, _with_t_abs(ctree_search)),
-    "EPT": (_pivot_table, _with_t_abs(ept_search)),
-    "PEXESO-H": (_pexeso, partial(_pexeso_search, use_inverted=False)),
-    "PEXESO": (_pexeso, _pexeso_search),
-    "SCAN": (_pexeso, partial(_pexeso_search, plan="scan")),
+    "CTREE": (BallTree, {}),
+    "EPT": (PivotTable, {}),
+    "PEXESO-H": (PexesoIndex, {"use_inverted": False}),
+    "PEXESO": (PexesoIndex, {"plan": "index"}),
+    "SCAN": (PexesoIndex, {"plan": "scan"}),
 }
 METHODS = list(_ENGINES)
 
@@ -102,13 +81,13 @@ def _check_agree(answers: dict[str, set], T: float, pct: float) -> None:
 
 
 def _indexed(parts: list[tuple], methods, keep) -> list[tuple]:
-    """``(cols, col_of, {build: load})`` for each ``(cols, X, col_of)``
-    partition: one index per build that ``methods`` use, handed to
+    """``(cols, {engine class: load})`` for each ``(cols, X, col_of)``
+    partition: one index per engine class that ``methods`` use, handed to
     ``keep(name, index)``, which returns the ``load()`` a timer calls."""
-    builds = dict.fromkeys(_ENGINES[m][0] for m in methods)
+    engines = dict.fromkeys(_ENGINES[m][0] for m in methods)
     return [
-        (cols, col_of, {
-            b: keep(f"part{p}{b.__name__}", b(X, col_of, len(cols))) for b in builds
+        (cols, {
+            e: keep(f"part{p}_{e.__name__}", e(X, col_of, len(cols))) for e in engines
         })
         for p, (cols, X, col_of) in enumerate(parts)
     ]
@@ -127,13 +106,13 @@ def _search_grid(
             tau = pct * MAX_DISTANCE
             answers = {}
             for method in methods:
-                build, search = _ENGINES[method]
+                engine, kw = _ENGINES[method]
                 t0 = time.perf_counter()
                 joinable, n_dist = set(), 0
-                for cols, col_of, loads in parts:  # one index in memory at a time
-                    hit, n = search(loads[build](), col_of, len(cols), Q, tau, T)
-                    joinable |= {cols[i] for i in hit}
-                    n_dist += n
+                for cols, loads in parts:  # one index in memory at a time
+                    res = loads[engine]().search(Q, tau, T, **kw)
+                    joinable |= {cols[i] for i in res.joinable}
+                    n_dist += res.n_distance
                 dt = time.perf_counter() - t0
                 answers[method] = joinable
                 rows.append(EffRow(dataset, T, pct, method, dt, n_dist))

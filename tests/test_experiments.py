@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.pexeso import PexesoIndex
 from repro.experiments import plans, table3, table5, table6, table7
 from repro.experiments.common import TAU_FACTOR, lake_arrays, tau_abs, timed
 from repro.ml.datasets import airbnb_lite
@@ -124,7 +125,8 @@ def test_table7_outofcore_small(monkeypatch, tmp_path):
     assert rows[0].dataset == "LWDC-lite" and rows[0].seconds > 0
     files = os.listdir(tmp_path)
     assert len(files) == table7.N_PARTS
-    assert all(f.endswith("_pexeso.pkl") for f in files)
+    engine, _ = table7._ENGINES["PEXESO"]
+    assert all(f.endswith(f"_{engine.__name__}.pkl") for f in files)
 
 
 def test_table7_outofcore_loads_only_own_index(monkeypatch):
@@ -138,7 +140,7 @@ def test_table7_outofcore_loads_only_own_index(monkeypatch):
 
     monkeypatch.setattr(table7, "_load", recording)
     table7.run_outofcore(t_grid=[0.6], tau_grid=[0.02])
-    kinds = ["BallTree", "PivotTable", "PexesoIndex", "PexesoIndex", "PexesoIndex"]
+    kinds = [table7._ENGINES[m][0].__name__ for m in table7.METHODS]
     assert loaded == [k for k in kinds for _ in range(table7.N_PARTS)]
 
 
@@ -160,13 +162,18 @@ def test_table7_outofcore_counts_distances(outofcore_rows):
     assert by["PEXESO"] <= by["PEXESO-H"]
 
 
+class _DropAll(PexesoIndex):
+    """A PEXESO whose search drops every joinable column."""
+
+    def search(self, *args, **kw):
+        res = super().search(*args, **kw)
+        res.joinable = set()
+        return res
+
+
 def test_table7_outofcore_disagreement_raises(monkeypatch):
-    build, search = table7._ENGINES["PEXESO-H"]
-
-    def drop_all(*args):
-        return set(), search(*args)[1]
-
-    monkeypatch.setitem(table7._ENGINES, "PEXESO-H", (build, drop_all))
+    _, kw = table7._ENGINES["PEXESO-H"]
+    monkeypatch.setitem(table7._ENGINES, "PEXESO-H", (_DropAll, kw))
     with pytest.raises(AssertionError, match="disagree"):
         table7.run_outofcore(
             methods=["PEXESO-H", "PEXESO"], t_grid=[0.2], tau_grid=[0.08]

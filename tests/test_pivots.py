@@ -50,7 +50,7 @@ def test_no_pivots_rejected_at_build(n_pivots):
     with pytest.raises(ValueError, match="n_pivots"):
         PexesoIndex(X, np.zeros(len(X), dtype=int), 1, n_pivots=n_pivots)
     with pytest.raises(ValueError, match="n_pivots"):
-        PivotTable(X, n_pivots=n_pivots)
+        PivotTable(X, np.zeros(len(X), dtype=int), 1, n_pivots=n_pivots)
 
 
 def test_pivot_map_values():

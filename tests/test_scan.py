@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import exact_scan
+from repro.baselines.cover_tree import BallTree
+from repro.baselines.ept import PivotTable
 from repro.core import cost, scan
 from repro.core.pexeso import PexesoIndex, t_abs
 from repro.core.pivots import pivot_map
@@ -58,12 +60,13 @@ def test_zero_tau_with_duplicates(plan):
     assert_exact(idx, Q, X, col, 20, 0.0, plan, T=0.1)
 
 
-@pytest.mark.parametrize("kind", ["index", "pexeso-h", "scan"])
+@pytest.mark.parametrize("kind", ["index", "pexeso-h", "scan", "ctree", "ept"])
 def test_zero_tau_near_duplicates(kind):
     """τ = 0 against copies of the query vectors, half of them moved by
     ~1e-9: the oracle rounds many of these to d² ≤ 0, while their pivot
     coordinates differ by up to ~1e-8, which a Lemma 1 test without a
-    rounding band dropped."""
+    rounding band dropped. CTREE and EPT once decided on a norm, which
+    is > 0 for the moved copies, and missed 8 of the 15 joinable columns."""
     g = np.random.default_rng(0)
     Q = unit_rows(12, 16, seed=2)
     X = unit_rows(600, 16, seed=1)
@@ -73,11 +76,19 @@ def test_zero_tau_near_duplicates(kind):
         X[c * 20:c * 20 + 12] = V / np.linalg.norm(V, axis=1, keepdims=True)
     want = exact_scan.match_counts(Q, X, col, 30, 0.0)
     assert want.sum() > 7 * 12  # some of the moved copies match too
+    T_abs = t_abs(0.5, 12)
+    if kind in ("ctree", "ept"):
+        res = {"ctree": BallTree, "ept": PivotTable}[kind](X, col, 30).search(Q, 0.0, 0.5)
+        assert res.joinable == set(np.flatnonzero(want >= T_abs).tolist())
+        # EPT stops counting a column at T_abs; CTREE counts every column.
+        assert res.match_counts.tolist() == (
+            np.minimum(want, T_abs) if kind == "ept" else want).tolist()
+        return
     idx = PexesoIndex(X, col, 30, n_pivots=5, m=4)
     kw = {"use_inverted": False} if kind == "pexeso-h" else {"plan": kind}
     for early_terminate in (True, False):
         res = idx.search(Q, 0.0, 0.5, early_terminate=early_terminate, **kw)
-        assert res.joinable == set(np.flatnonzero(want >= t_abs(0.5, 12)).tolist())
+        assert res.joinable == set(np.flatnonzero(want >= T_abs).tolist())
     assert res.match_counts.tolist() == want.tolist()
 
 
